@@ -1,6 +1,6 @@
 # Convenience targets for the VIF reproduction.
 
-.PHONY: install test bench bench-smoke bench-full experiments examples all
+.PHONY: install test bench bench-smoke bench-e2e bench-full experiments examples all
 
 install:
 	pip install -e .
@@ -15,6 +15,12 @@ bench:
 # paper-scale experiments and disables benchmark timing loops.
 bench-smoke:
 	pytest -m "not slow" --benchmark-disable benchmarks/
+
+# The end-to-end serve-path benchmark (bench/README.md) at smoke scale: all
+# four workloads, untraced then traced, every burst checked against the
+# oracle.  Drop --scale for the run of record.
+bench-e2e:
+	python3 bench/run.py --scale smoke
 
 bench-full:
 	VIF_BENCH_FULL=1 pytest benchmarks/ --benchmark-only

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from itertools import accumulate
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.core.enclave_filter import EnclaveFilter
 from repro.core.filter import ConnectionPreservingMode
-from repro.core.rules import RuleSet
+from repro.core.rules import FilterRule, RuleSet
 from repro.dataplane.packet import FiveTuple, Packet
 from repro.errors import ConfigurationError, DistributionError
 from repro.optim.problem import Allocation
@@ -42,6 +43,60 @@ from repro.util.rng import stable_hash64
 #: traffic must be dropped at the switch, never forwarded unfiltered
 #: (fail-closed degradation).
 BLACKHOLE = "blackhole"
+
+#: ``(route verdict, matched rule)`` for one packet, from
+#: :meth:`LoadBalancer.route_burst`.
+Routed = Tuple[Union[int, str, None], Optional[FilterRule]]
+
+_UNSET = object()
+
+
+def record_flight(
+    rows: Iterable[Tuple[Packet, Optional[FilterRule], str]]
+) -> None:
+    """Batch ``(packet, matched rule, outcome)`` rows into the flight
+    recorder ring; ``rows`` is not consumed unless someone has opted into
+    forensic capture."""
+    recorder = obs.get_flight_recorder()
+    if not recorder.enabled:
+        return
+    round_id = obs.get_journal().current_round
+    recorder.record_batch(
+        [
+            (
+                packet.five_tuple.key().decode(),
+                rule.rule_id if rule is not None else None,
+                outcome,
+                round_id,
+            )
+            for packet, rule, outcome in rows
+        ]
+    )
+
+
+class _RoutePlan:
+    """One rule's replicas, compiled for :meth:`LoadBalancer.route`.
+
+    ``salt`` is None when every flow lands on ``first`` (a single replica,
+    or no positive weight); otherwise a flow hashes under ``salt`` to a
+    point in ``[0, total)`` and takes the first replica whose cumulative
+    weight bound exceeds it.
+    """
+
+    __slots__ = ("first", "salt", "total", "bounds")
+
+    def __init__(self, rule_id: int, replicas: List[Tuple[int, float]]) -> None:
+        self.first = replicas[0][0]
+        self.salt: Optional[str] = None
+        self.total = 0.0
+        self.bounds: Tuple[Tuple[float, int], ...] = ()
+        if len(replicas) > 1:
+            self.total = sum(w for _, w in replicas)
+            if self.total > 0:
+                self.salt = f"lb/{rule_id}"
+                self.bounds = tuple(
+                    zip(accumulate(w for _, w in replicas), (j for j, _ in replicas))
+                )
 
 
 class LoadBalancer:
@@ -60,8 +115,9 @@ class LoadBalancer:
 
     def __init__(self) -> None:
         self._rules = RuleSet()
-        self._routes: Dict[int, List[Tuple[int, float]]] = {}
+        self._routes: Dict[int, _RoutePlan] = {}
         self._blackholed: Set[int] = set()
+        self._matched: object = _UNSET
         registry = obs.get_registry()
         label = obs.next_instance_label("lb")
         self._unrouted_c = registry.counter(
@@ -80,18 +136,10 @@ class LoadBalancer:
         """Packets routed to no enclave (stored in the metrics registry)."""
         return self._unrouted_c.value
 
-    @unrouted_packets.setter
-    def unrouted_packets(self, value: int) -> None:
-        self._unrouted_c.set(value)
-
     @property
     def blackholed_packets(self) -> int:
         """Packets dropped fail-closed (stored in the metrics registry)."""
         return self._blackholed_c.value
-
-    @blackholed_packets.setter
-    def blackholed_packets(self, value: int) -> None:
-        self._blackholed_c.set(value)
 
     def configure(
         self, rules: RuleSet, routes: Dict[int, List[Tuple[int, float]]]
@@ -111,8 +159,13 @@ class LoadBalancer:
             if any(w < 0 for _, w in replicas):
                 raise ConfigurationError(f"rule {rule_id} has a negative weight")
         self._rules = rules
-        self._routes = {rid: list(reps) for rid, reps in routes.items()}
+        self._routes = {rid: _RoutePlan(rid, reps) for rid, reps in routes.items()}
         self._blackholed -= set(self._routes)
+
+    @property
+    def rules(self) -> RuleSet:
+        """The rule set routing decisions are matched against."""
+        return self._rules
 
     def blackhole(self, rule_ids: Iterable[int]) -> None:
         """Mark shed rules: their traffic is dropped, not forwarded."""
@@ -155,29 +208,43 @@ class LoadBalancer:
         or :data:`BLACKHOLE` when the matching rule was shed and its traffic
         must be dropped fail-closed.
         """
-        rule = self._rules.match(packet.five_tuple)
-        if rule is not None and rule.rule_id in self._blackholed:
-            self.blackholed_packets += 1
-            return BLACKHOLE
-        if rule is None or rule.rule_id not in self._routes:
-            self.unrouted_packets += 1
+        flow = packet.five_tuple
+        rule = self._matched = self._rules.match(flow)  # kept for route_burst
+        plan = self._routes.get(rule.rule_id) if rule is not None else None
+        if plan is None:
+            if rule is not None and rule.rule_id in self._blackholed:
+                self._blackholed_c.inc()
+                return BLACKHOLE
+            self._unrouted_c.inc()
             return None
-        replicas = self._routes[rule.rule_id]
-        if len(replicas) == 1:
-            return replicas[0][0]
-        total = sum(w for _, w in replicas)
-        if total <= 0:
-            return replicas[0][0]
+        if plan.salt is None:
+            return plan.first
         point = (
-            stable_hash64(packet.five_tuple.key(), salt=f"lb/{rule.rule_id}")
-            / float(2**64)
-        ) * total
-        cumulative = 0.0
-        for enclave_index, weight in replicas:
-            cumulative += weight
-            if point < cumulative:
+            stable_hash64(flow.key(), salt=plan.salt) / float(2**64)
+        ) * plan.total
+        for bound, enclave_index in plan.bounds:
+            if point < bound:
                 return enclave_index
-        return replicas[-1][0]
+        return plan.bounds[-1][1]
+
+    def route_burst(self, packets: Sequence[Packet]) -> List[Routed]:
+        """:meth:`route` every packet, pairing each verdict with the rule it
+        matched, so a carrier that shares :attr:`rules` never matches twice.
+
+        Goes through ``self.route`` per packet: a subclass (or wrapper) that
+        steers differently is honoured, and one that never reaches the base
+        lookup gets the rule matched here instead.
+        """
+        route = self.route
+        routed: List[Routed] = []
+        for packet in packets:
+            self._matched = _UNSET
+            target = route(packet)
+            rule = self._matched
+            if rule is _UNSET:
+                rule = self._rules.match(packet.five_tuple)
+            routed.append((target, rule))  # type: ignore[arg-type]
+        return routed
 
 
 @dataclass
@@ -345,64 +412,61 @@ class IXPController:
     #: well under :attr:`EnclaveFilter.MAX_BURST`).
     carry_burst_size = 64
 
+    def bursts_by_slot(
+        self, routed: Sequence[Routed]
+    ) -> Iterator[Tuple[int, List[int]]]:
+        """``(slot, positions)`` ECall bursts for one routed packet burst.
+
+        Positions steered to the same enclave share one burst wherever they
+        sit in the arrival order (split only at :attr:`carry_burst_size`),
+        so a burst costs one ECall per enclave it touches, not one per run
+        of neighbours.  Equation 2 is what makes the regrouping safe:
+        ``f(p)`` does not depend on arrival order and count-min updates
+        commute, so verdicts and logs equal the per-packet path's.
+        """
+        by_slot: Dict[int, List[int]] = {}
+        for pos, (target, _) in enumerate(routed):
+            if target is not None and target is not BLACKHOLE:
+                by_slot.setdefault(target, []).append(pos)  # type: ignore[arg-type]
+        size = self.carry_burst_size
+        for slot, positions in by_slot.items():
+            for start in range(0, len(positions), size):
+                yield slot, positions[start : start + size]
+
     def carry(self, packets: Iterable[Packet]) -> List[Packet]:
         """Move packets through the deployment; returns the forwarded ones.
 
         Honest behavior: every packet matching an installed rule goes through
-        its enclave; unmatched packets are forwarded unfiltered.  Consecutive
-        packets routed to the same enclave share one ``process_burst`` ECall
-        (up to :attr:`carry_burst_size`), so the enclave-transition count
-        scales with bursts, not packets; verdicts and log contents are
-        identical to the per-packet path, and delivery order is preserved.
+        its enclave; unmatched packets are forwarded unfiltered.  Packets
+        routed to the same enclave share ``process_burst`` ECalls (see
+        :meth:`bursts_by_slot`), so the enclave-transition count scales with
+        bursts, not packets; verdicts and log contents are identical to the
+        per-packet path, and delivery order is preserved.
         """
-        forwarded: List[Packet] = []
-        burst: List[Packet] = []
-        burst_enclave: Optional[int] = None
-
-        def flush() -> None:
-            nonlocal burst, burst_enclave
-            if burst_enclave is None:
-                return
-            verdicts = self.enclaves[burst_enclave].ecall("process_burst", burst)
-            recorder = obs.get_flight_recorder()
-            if recorder.enabled:
-                round_id = obs.get_journal().current_round
-                rules = self.state.rules
-                entries = []
-                for packet, ok in zip(burst, verdicts):
-                    rule = rules.match(packet.five_tuple)
-                    entries.append(
-                        (
-                            packet.five_tuple.key().decode(),
-                            rule.rule_id if rule is not None else None,
-                            "allowed" if ok else "dropped",
-                            round_id,
-                        )
-                    )
-                recorder.record_batch(entries)
-            forwarded.extend(
-                packet for packet, ok in zip(burst, verdicts) if ok
+        packets = list(packets)
+        routed = self.load_balancer.route_burst(packets)
+        # Unrouted packets are forwarded as they are; a blackholed one (shed
+        # rule: fail-closed drop, counted by the LB) never is.
+        forward = [target is None for target, _ in routed]
+        filtered: List[int] = []
+        for slot, positions in self.bursts_by_slot(routed):
+            verdicts = self.enclaves[slot].ecall(
+                "process_burst", [packets[pos] for pos in positions]
             )
-            burst = []
-            burst_enclave = None
-
-        for packet in packets:
-            enclave_index = self.load_balancer.route(packet)
-            if enclave_index is BLACKHOLE:
-                continue  # shed rule: fail-closed drop (counted by the LB)
-            if enclave_index is None:
-                flush()
-                forwarded.append(packet)
-                continue
-            if (
-                enclave_index != burst_enclave
-                or len(burst) >= self.carry_burst_size
-            ):
-                flush()
-                burst_enclave = enclave_index
-            burst.append(packet)
-        flush()
-        return forwarded
+            for pos, ok in zip(positions, verdicts):
+                forward[pos] = ok
+            filtered.extend(positions)
+        rules = self.state.rules
+        own = self.load_balancer.rules is rules
+        record_flight(
+            (
+                packets[pos],
+                routed[pos][1] if own else rules.match(packets[pos].five_tuple),
+                "allowed" if forward[pos] else "dropped",
+            )
+            for pos in sorted(filtered)
+        )
+        return [packet for packet, ok in zip(packets, forward) if ok]
 
     # -- telemetry ---------------------------------------------------------------
 

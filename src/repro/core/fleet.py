@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.core.controller import BLACKHOLE, IXPController
-from repro.core.rules import RuleSet
+from repro.core.controller import BLACKHOLE, IXPController, record_flight
+from repro.core.rules import FilterRule, RuleSet
 from repro.core.session import VIFSession
 from repro.dataplane.packet import Packet
 from repro.dataplane.pipeline import UNROUTED
@@ -732,10 +732,10 @@ class FleetManager:
         next :meth:`recover`, and the rest of the traffic flows on.
         """
         packets = list(packets)
-        tags = self._adjudicate(packets)
-        self._record_flight(packets, tags)
+        tags, rules = self._adjudicate(packets)
+        record_flight(zip(packets, rules, tags))
         result = CarryResult()
-        for packet, tag in zip(packets, tags):
+        for packet, tag, rule in zip(packets, tags, rules):
             if tag == _ALLOWED:
                 result.allowed += 1
                 result.delivered.append(packet)
@@ -745,6 +745,12 @@ class FleetManager:
             elif tag == _UNROUTED:
                 result.unrouted += 1
                 result.delivered.append(packet)
+                # Final audit of the fail-closed invariant: a packet
+                # delivered without an enclave verdict must match no rule
+                # (active or shed).  Structurally unreachable; counted,
+                # never hidden.
+                if rule is not None:
+                    self.counters.unfiltered_packets += 1
             elif tag == _SHED:
                 result.dropped_shed += 1
             else:
@@ -758,101 +764,56 @@ class FleetManager:
         cc["unrouted"].inc(result.unrouted)
         cc["shed"].inc(result.dropped_shed)
         cc["failclosed"].inc(result.dropped_failclosed)
-        # Final audit of the fail-closed invariant: a delivered packet that
-        # matches any rule (active or shed) must have been adjudicated by an
-        # enclave.  Structurally unreachable; counted, never hidden.
-        for packet in result.delivered:
-            if id(packet) in result.filtered_ids:
-                continue
-            if self._rules.match(packet.five_tuple) is not None:
-                self.counters.unfiltered_packets += 1
         return result
 
-    def _adjudicate(self, packets: List[Packet]) -> List[str]:
-        """Per-packet verdict tags, bursting consecutive same-slot packets."""
-        tags: List[Optional[str]] = [None] * len(packets)
-        lb = self.controller.load_balancer
-        burst: List[Packet] = []
-        burst_positions: List[int] = []
-        burst_slot: Optional[int] = None
-
-        def flush() -> None:
-            nonlocal burst, burst_positions, burst_slot
-            if burst_slot is None:
-                return
-            enclave = self.controller.enclaves[burst_slot]
-            try:
-                verdicts = enclave.ecall("process_burst", list(burst))
-            except EnclaveSealedError:
-                # Death discovered on the data path: fail closed, flag the
-                # slot, keep the round going.
-                self._mark_dead(burst_slot)
-                for pos in burst_positions:
-                    tags[pos] = _FAILCLOSED
-            else:
-                for pos, ok in zip(burst_positions, verdicts):
-                    tags[pos] = _ALLOWED if ok else _DROPPED
-            burst = []
-            burst_positions = []
-            burst_slot = None
-
-        for idx, packet in enumerate(packets):
-            verdict = lb.route(packet)
-            if verdict is BLACKHOLE:
+    def _adjudicate(
+        self, packets: List[Packet]
+    ) -> Tuple[List[str], List[Optional[FilterRule]]]:
+        """Per-packet verdict tags and matched rules; one ECall burst per
+        live slot (:meth:`IXPController.bursts_by_slot`)."""
+        controller = self.controller
+        routed = controller.load_balancer.route_burst(packets)
+        if controller.load_balancer.rules is self._rules:
+            rules = [rule for _, rule in routed]
+        else:
+            rules = [self._rules.match(p.five_tuple) for p in packets]
+        # Anything no branch below clears stays dropped: fail-closed.
+        tags = [_FAILCLOSED] * len(packets)
+        for idx, (target, _) in enumerate(routed):
+            if target is BLACKHOLE:
                 tags[idx] = _SHED
-                continue
-            if verdict is None:
+            elif target is None:
                 # Cross-check the load balancer: if the authoritative rule
                 # set matches this packet, "unrouted" would deliver rule
                 # traffic unfiltered — drop it instead (fail-closed).
-                if self._rules.match(packet.five_tuple) is not None:
+                if rules[idx] is not None:
                     self.counters.routing_anomalies += 1
-                    tags[idx] = _FAILCLOSED
                 else:
                     tags[idx] = _UNROUTED
-                continue
-            slot = verdict
+        enclaves = controller.enclaves
+        for slot, positions in controller.bursts_by_slot(routed):
             if (
-                slot >= len(self.controller.enclaves)
-                or self.controller.enclaves[slot].destroyed
+                slot >= len(enclaves)
+                or enclaves[slot].destroyed
                 or (
                     slot < len(self._health)
                     and self._health[slot] is EnclaveHealth.DEAD
                 )
             ):
                 self._mark_dead(slot)
-                tags[idx] = _FAILCLOSED
                 continue
-            if slot != burst_slot or len(burst) >= self.controller.carry_burst_size:
-                flush()
-                burst_slot = slot
-            burst.append(packet)
-            burst_positions.append(idx)
-        flush()
-        return [tag if tag is not None else _FAILCLOSED for tag in tags]
-
-    def _record_flight(self, packets: Sequence[Packet], tags: Sequence[str]) -> None:
-        """Batch the burst's verdicts into the flight recorder ring.
-
-        One boolean check when recording is off; the per-packet rule lookup
-        happens only when someone has opted into forensic capture.
-        """
-        recorder = obs.get_flight_recorder()
-        if not recorder.enabled:
-            return
-        round_id = obs.get_journal().current_round
-        entries = []
-        for packet, tag in zip(packets, tags):
-            rule = self._rules.match(packet.five_tuple)
-            entries.append(
-                (
-                    packet.five_tuple.key().decode(),
-                    rule.rule_id if rule is not None else None,
-                    tag,
-                    round_id,
+            try:
+                verdicts = enclaves[slot].ecall(
+                    "process_burst", [packets[pos] for pos in positions]
                 )
-            )
-        recorder.record_batch(entries)
+            except EnclaveSealedError:
+                # Death discovered on the data path: fail closed, flag the
+                # slot, keep the round going.
+                self._mark_dead(slot)
+            else:
+                for pos, ok in zip(positions, verdicts):
+                    tags[pos] = _ALLOWED if ok else _DROPPED
+        return tags, rules
 
     def _mark_dead(self, slot: int) -> None:
         self._sync_health()
@@ -1151,8 +1112,8 @@ class FleetBurstFilter:
 
     def process_burst(self, packets: Sequence[Packet]) -> List[object]:
         packets = list(packets)
-        tags = self.fleet._adjudicate(packets)
-        self.fleet._record_flight(packets, tags)
+        tags, rules = self.fleet._adjudicate(packets)
+        record_flight(zip(packets, rules, tags))
         verdicts: List[object] = []
         for tag in tags:
             if tag == _ALLOWED:

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dataplane.packet import FiveTuple, Protocol
 from repro.errors import RuleError, RuleValidationError
+from repro.lookup.multibit_trie import MultiBitTrie
 from repro.util.addrs import parse_network
 
 
@@ -305,12 +306,18 @@ class RuleSet:
     """An ordered collection of rules with most-specific-match semantics.
 
     Lookup returns the matching rule with the highest pattern specificity
-    (ties broken by lowest rule id), mirroring how the multi-bit-trie lookup
-    table resolves overlapping entries.
+    (ties broken by lowest rule id) — the multi-bit-trie lookup table's own
+    resolution of overlapping entries, because :meth:`match` *is* a trie
+    walk.  The trie is built by the first :meth:`match` and kept current by
+    :meth:`add` / :meth:`remove` from then on, so a set that is never
+    matched (an optimizer :meth:`subset`, a rule-update diff) pays nothing.
     """
 
     def __init__(self, rules: Iterable[FilterRule] = ()) -> None:
         self._rules: Dict[int, FilterRule] = {}
+        self._trie: Optional[MultiBitTrie] = None
+        #: Indexed rules the trie cannot hold (non-IPv4 destinations): scanned.
+        self._residual: List[FilterRule] = []
         for rule in rules:
             self.add(rule)
 
@@ -318,12 +325,20 @@ class RuleSet:
         if rule.rule_id in self._rules:
             raise RuleError(f"duplicate rule id {rule.rule_id}")
         self._rules[rule.rule_id] = rule
+        if self._trie is not None:
+            self._index(rule)
 
     def remove(self, rule_id: int) -> FilterRule:
         try:
-            return self._rules.pop(rule_id)
+            rule = self._rules.pop(rule_id)
         except KeyError as exc:
             raise RuleError(f"unknown rule id {rule_id}") from exc
+        if self._trie is not None:
+            if rule.pattern.dst_version == 4:  # type: ignore[attr-defined]
+                self._trie.remove(rule)
+            else:
+                self._residual.remove(rule)
+        return rule
 
     def get(self, rule_id: int) -> FilterRule:
         try:
@@ -331,21 +346,28 @@ class RuleSet:
         except KeyError as exc:
             raise RuleError(f"unknown rule id {rule_id}") from exc
 
+    def _index(self, rule: FilterRule) -> None:
+        if rule.pattern.dst_version == 4:  # type: ignore[attr-defined]
+            self._trie.insert(rule)  # type: ignore[union-attr]
+        else:
+            self._residual.append(rule)
+
     def match(self, flow: FiveTuple) -> Optional[FilterRule]:
         """Most-specific rule matching ``flow``, or None."""
-        best: Optional[FilterRule] = None
-        for rule in self._rules.values():
-            if not rule.pattern.matches(flow):
-                continue
-            if best is None:
-                best = rule
-                continue
-            if rule.pattern.specificity > best.pattern.specificity or (
-                rule.pattern.specificity == best.pattern.specificity
-                and rule.rule_id < best.rule_id
-            ):
-                best = rule
-        return best
+        trie = self._trie
+        if trie is None:
+            trie = self._trie = MultiBitTrie()
+            for rule in self._rules.values():
+                self._index(rule)
+        if flow.dst_ip_version == 4:  # type: ignore[attr-defined]
+            # A pattern never matches across address families, so the trie
+            # alone answers for an IPv4 destination.
+            return trie.lookup(flow)
+        return max(
+            (rule for rule in self._residual if rule.pattern.matches(flow)),
+            key=lambda rule: (rule.pattern.specificity, -rule.rule_id),
+            default=None,
+        )
 
     def total_rate_bps(self) -> float:
         """Sum of measured rates across rules (the optimizer's Σ b_i)."""

@@ -74,6 +74,13 @@ class MultiBitTrie:
         # fails here, before any node is created.
         pattern = rule.pattern
         _ = pattern.dst_net_int, pattern.dst_prefix_len
+        if pattern.dst_version != 4:
+            # The walk chunks a 32-bit address; a 128-bit prefix would shift
+            # by a negative count partway down, after nodes were allocated.
+            raise LookupError_(
+                f"rule {rule.rule_id}: the trie indexes IPv4 destinations "
+                f"only, not {pattern.dst_prefix}"
+            )
         node = self._walk_to(rule, create=True)
         node.rules.append(rule)
         self._rule_ids.add(rule.rule_id)

@@ -210,13 +210,11 @@ class FleetBackend(_OffloadMixin):
     ) -> None:
         self.fleet = fleet
         self._burst = FleetBurstFilter(fleet)
+        #: Bumped once per applied delta, as on the other backends.
+        self.ruleset_version = 0
         self.offload = offload
         if offload is not None:
             offload.bind(self._burst)
-
-    @property
-    def ruleset_version(self) -> int:
-        return len(self.fleet.active_rule_ids)
 
     def process_burst(self, packets: Sequence[Packet]) -> List[object]:
         if self.offload is not None:
@@ -233,6 +231,7 @@ class FleetBackend(_OffloadMixin):
             for rule_id in delta.target_rule_ids:
                 self.fleet.remove_rule(rule_id)
         self._offload_delta(delta)
+        self.ruleset_version += 1
 
     def heal(self) -> List[int]:
         """One probe round; recover any dead slots.  Returns them."""

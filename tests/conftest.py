@@ -99,3 +99,23 @@ def make_packet(
         size=size,
         ingress_as=ingress_as,
     )
+
+
+def linear_match(rules, flow: FiveTuple):
+    """Reference most-specific match: scan every rule, highest specificity
+    wins, ties to the lowest id.  ``RuleSet.match`` is an indexed lookup;
+    this scan is the oracle it (and the trie) are tested against."""
+    best = None
+    for rule in rules:
+        if not rule.pattern.matches(flow):
+            continue
+        if (
+            best is None
+            or rule.pattern.specificity > best.pattern.specificity
+            or (
+                rule.pattern.specificity == best.pattern.specificity
+                and rule.rule_id < best.rule_id
+            )
+        ):
+            best = rule
+    return best

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.controller import IXPController, LoadBalancer
+from repro.core.controller import BLACKHOLE, IXPController, LoadBalancer
 from repro.core.rules import Action, FilterRule, FlowPattern, RuleSet
 from repro.errors import ConfigurationError, DistributionError
 from repro.optim.problem import Allocation, RuleDistributionProblem
 from repro.tee.attestation import IASService
+from repro.util.rng import stable_hash64
 from repro.util.units import GBPS
 from tests.conftest import VICTIM_PREFIX, make_packet
 
@@ -52,6 +53,45 @@ def test_lb_weighted_split_roughly_proportional():
     choices = [lb.route(make_packet(src_port=1024 + i)) for i in range(1000)]
     share0 = choices.count(0) / len(choices)
     assert 0.73 < share0 < 0.87
+
+
+def test_lb_compiled_split_picks_the_replica_the_formula_does():
+    """The per-rule cumulative bounds and salt are compiled in configure();
+    every flow must land where hashing against the raw weights put it."""
+    replicas = [(2, 0.3), (0, 0.0), (5, 1.2), (1, 0.5)]
+    lb = LoadBalancer()
+    lb.configure(RuleSet([rule(7)]), {7: replicas})
+    total = sum(w for _, w in replicas)
+    for i in range(300):
+        packet = make_packet(src_port=1024 + i)
+        point = stable_hash64(packet.five_tuple.key(), salt="lb/7") / float(2**64) * total
+        cumulative, expected = 0.0, replicas[-1][0]
+        for enclave_index, weight in replicas:
+            cumulative += weight
+            if point < cumulative:
+                expected = enclave_index
+                break
+        assert lb.route(packet) == expected
+
+
+def test_lb_route_burst_pairs_each_verdict_with_its_rule():
+    rules = RuleSet([rule(1), rule(2, prefix="10.9.0.0/16")])
+    lb = LoadBalancer()
+    lb.configure(rules, {1: [(3, 1.0)]})
+    lb.blackhole([2])
+    packets = [make_packet(), make_packet(dst_ip="10.9.0.1"), make_packet(dst_ip="192.0.2.1")]
+    assert lb.route_burst(packets) == [
+        (3, rules.get(1)), (BLACKHOLE, rules.get(2)), (None, None),
+    ]
+    assert (lb.unrouted_packets, lb.blackholed_packets) == (1, 1)
+
+    class Detour(LoadBalancer):
+        def route(self, packet):  # never reaches the base lookup
+            return 0
+
+    detour = Detour()
+    detour.configure(rules, {1: [(3, 1.0)]})
+    assert detour.route_burst(packets[:1]) == [(0, rules.get(1))]
 
 
 def test_lb_configure_validation():
@@ -174,8 +214,8 @@ def test_carry_through_allocation_routes_to_owner():
 
 
 def test_carry_batches_ecalls():
-    """carry() must group consecutive same-enclave packets into burst
-    ECalls instead of one transition per packet."""
+    """carry() must group same-enclave packets into burst ECalls instead of
+    one transition per packet."""
     controller = make_controller(1)
     controller.install_single_filter(RuleSet([rule(1, p_allow=1.0)]))
     enclave = controller.enclaves[0]
@@ -184,9 +224,36 @@ def test_carry_batches_ecalls():
         [make_packet(src_port=1024 + i) for i in range(50)]
     )
     assert len(delivered) == 50
-    # 50 consecutive packets for one enclave, carry_burst_size=64 -> 1 ECall.
+    # 50 packets for one enclave, carry_burst_size=64 -> 1 ECall.
     assert enclave.ecall_count == before + 1
     assert enclave.ecall("report").packets_processed == 50
+
+
+def test_carry_groups_interleaved_packets_by_enclave():
+    """Packets alternating between two enclaves still cost one ECall each,
+    and delivery keeps the arrival order."""
+    controller = make_controller(1)
+    rules = RuleSet(
+        [
+            rule(1, prefix="10.1.0.0/16", p_allow=1.0),
+            rule(2, prefix="10.2.0.0/16", p_allow=1.0),
+        ]
+    )
+    problem = RuleDistributionProblem(
+        bandwidths=[1 * GBPS, 1 * GBPS], enclave_bandwidth=10 * GBPS, headroom=1.0
+    )
+    controller.apply_allocation(
+        rules,
+        Allocation(problem=problem, assignments=[{0: 1 * GBPS}, {1: 1 * GBPS}]),
+    )
+    before = [e.ecall_count for e in controller.enclaves]
+    packets = [
+        make_packet(dst_ip=f"10.{1 + i % 2}.0.9" if i % 3 else "192.0.2.1", src_port=1024 + i)
+        for i in range(30)
+    ]
+    assert controller.carry(packets) == packets
+    assert [e.ecall_count for e in controller.enclaves] == [b + 1 for b in before]
+    assert controller.misbehavior_reports() == []
 
 
 def test_collect_rule_rates():

@@ -22,6 +22,7 @@ from repro.dataplane.packet import FiveTuple, Packet, Protocol
 from repro.lookup.multibit_trie import MultiBitTrie
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import HashFamily
+from tests.conftest import linear_match
 
 SEED = 0xF117E2
 
@@ -219,7 +220,8 @@ class TestTrieEquivalence:
             trie.insert_batch(rules)
             for _ in range(2_000):
                 flow = random_flow(rng)
-                expected = ruleset.match(flow)
+                expected = linear_match(rules, flow)
+                assert ruleset.match(flow) is expected
                 got = trie.lookup(flow)
                 expected_id = expected.rule_id if expected else None
                 got_id = got.rule_id if got else None

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro import obs
 from repro.core.controller import IXPController
 from repro.core.fleet import (
     EnclaveHealth,
+    FleetBurstFilter,
     FleetConfig,
     FleetManager,
 )
@@ -18,7 +22,9 @@ from repro.errors import (
     FleetError,
     RecoveryFailed,
 )
+from repro.dataplane.pipeline import UNROUTED
 from repro.faults import FlakyIAS
+from repro.obs.flight import FlightRecorder
 from repro.optim import validate_allocation
 from repro.tee.attestation import IASService
 from repro.util.units import GBPS
@@ -315,3 +321,122 @@ class TestAttestationRetry:
             fleet.recover()
             times.append(fleet.counters.recovery_time_s)
         assert times[0] == times[1]
+
+
+class TestSlotGrouping:
+    """One ECall burst per live slot, whatever the arrival order."""
+
+    @staticmethod
+    def mixed_burst(n: int = 64):
+        """8 rule prefixes (4 enclaves) interleaved with off-rule packets,
+        half-probability rules so verdicts depend on the flow."""
+        return [
+            make_packet(
+                src_ip=f"10.9.{i % 7}.{i}",
+                dst_ip=f"203.0.{100 + i % 8}.5" if i % 5 else f"198.51.100.{i}",
+                src_port=2000 + i,
+            )
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def half_rules() -> RuleSet:
+        return RuleSet(
+            FilterRule(
+                rule_id=i + 1,
+                pattern=FlowPattern(dst_prefix=f"203.0.{100 + i}.0/24"),
+                p_allow=0.5,
+                requested_by=VICTIM,
+                rate_bps=2.0 * GBPS,
+            )
+            for i in range(8)
+        )
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_permuting_a_burst_changes_no_verdict_and_no_log(self, seed):
+        """Equation 2: f(p) does not depend on arrival order, and count-min
+        updates commute — so regrouping a burst by slot is invisible."""
+        packets = self.mixed_burst()
+        order = list(range(len(packets)))
+        random.Random(seed).shuffle(order)
+
+        def run(positions):
+            fleet = build_fleet(self.half_rules(), enclaves=4)
+            verdicts = FleetBurstFilter(fleet).process_burst(
+                [packets[pos] for pos in positions]
+            )
+            logs = [
+                sketch.serialize()
+                for sketch in fleet.controller.collect_incoming_logs()
+                + fleet.controller.collect_outgoing_logs()
+            ]
+            return dict(zip(positions, verdicts)), logs
+
+        straight, straight_logs = run(range(len(packets)))
+        shuffled, shuffled_logs = run(order)
+        assert shuffled == straight
+        assert {True, False, UNROUTED} <= set(straight.values())
+        assert shuffled_logs == straight_logs
+
+    def test_one_ecall_per_enclave_and_one_match_per_packet(self):
+        class CountingRuleSet(RuleSet):
+            matches = 0
+
+            def match(self, flow):
+                self.matches += 1
+                return super().match(flow)
+
+        rules = CountingRuleSet(self.half_rules())
+        fleet = build_fleet(rules, enclaves=4)
+        packets = self.mixed_burst(64)
+        total = obs.get_registry().total
+        # The flight recorder wants every packet's rule id as well.
+        previous = obs.set_flight_recorder(FlightRecorder(capacity=64, enabled=True))
+        try:
+            ecalls_before = total("vif_tee_ecalls_total")
+            verdicts = FleetBurstFilter(fleet).process_burst(packets)
+            ecalls = total("vif_tee_ecalls_total") - ecalls_before
+            recorded = obs.get_flight_recorder().entries
+        finally:
+            obs.set_flight_recorder(previous)
+        assert ecalls <= 4
+        assert rules.matches == len(packets)
+        assert verdicts.count(UNROUTED) == 13  # every fifth packet
+        assert len(recorded) == len(packets)
+        # ... and through carry(), final audit included.
+        rules.matches = 0
+        fleet.carry(packets)
+        assert rules.matches == len(packets)
+
+    def test_carry_burst_size_still_caps_one_ecall(self):
+        fleet = build_fleet(build_rules(count=2), enclaves=1)
+        enclave = fleet.controller.enclaves[0]
+        before = enclave.ecall_count
+        size = fleet.controller.carry_burst_size
+        result = fleet.carry([rule_packet(0, src_ip=f"10.9.8.{i}") for i in range(size + 1)])
+        assert result.allowed == size + 1
+        assert enclave.ecall_count == before + 2
+
+    def test_slot_dying_mid_burst_fails_closed_for_its_own_positions(self):
+        fleet = build_fleet(build_rules(), enclaves=4)
+        lb = fleet.controller.load_balancer
+        packets = [rule_packet(i % 8, src_ip=f"10.9.8.{i}") for i in range(32)]
+        slots = [lb.route(p) for p in packets]
+        doomed = slots[0]
+        victim = fleet.controller.enclaves[doomed]
+        real_ecall = victim.ecall
+
+        def dies_on_entry(name, *args, **kwargs):
+            if name == "process_burst":
+                victim.destroy()  # killed between routing and its ECall
+            return real_ecall(name, *args, **kwargs)
+
+        victim.ecall = dies_on_entry
+        healthy = build_fleet(build_rules(), enclaves=4)
+        expected = FleetBurstFilter(healthy).process_burst(packets)
+        verdicts = FleetBurstFilter(fleet).process_burst(packets)
+        for slot, got, want in zip(slots, verdicts, expected):
+            assert got == (False if slot == doomed else want)
+        assert fleet.health[doomed] is EnclaveHealth.DEAD
+        assert fleet.counters.failclosed_drops == slots.count(doomed)
+        assert fleet.counters.unfiltered_packets == 0

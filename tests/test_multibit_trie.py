@@ -1,4 +1,4 @@
-"""The multi-bit trie — must agree exactly with the linear RuleSet scan."""
+"""The multi-bit trie — must agree exactly with a linear most-specific scan."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from repro.core.rules import Action, FilterRule, FlowPattern, RuleSet
 from repro.dataplane.packet import FiveTuple, Protocol
 from repro.errors import LookupError_
 from repro.lookup.multibit_trie import MultiBitTrie
+from tests.conftest import linear_match
 
 
 def flow(dst_ip="203.0.113.10", dst_port=80, src_ip="10.0.0.1", src_port=999):
@@ -121,7 +122,8 @@ _octet = st.integers(min_value=0, max_value=255)
     probe_octets=st.tuples(_octet, _octet, _octet, _octet),
 )
 def test_trie_agrees_with_linear_scan(prefixes, probe_octets):
-    """For random prefix rules and probes: trie == RuleSet reference."""
+    """For random prefix rules and probes: trie == linear reference (and so
+    is the trie-backed RuleSet)."""
     rules = []
     for i, (a, b, plen) in enumerate(prefixes):
         rules.append(rule(i, f"{a}.{b}.0.0/{min(plen, 16)}"))
@@ -131,7 +133,8 @@ def test_trie_agrees_with_linear_scan(prefixes, probe_octets):
         trie.insert(r)
         reference.add(r)
     probe = flow(dst_ip=".".join(str(o) for o in probe_octets))
-    expected = reference.match(probe)
+    expected = linear_match(rules, probe)
+    assert reference.match(probe) is expected
     actual = trie.lookup(probe)
     if expected is None:
         assert actual is None
@@ -180,3 +183,16 @@ class TestFailedInsertLeavesNoOrphans:
                 trie.insert(rule(1, f"10.{i}.{i}.0/28"))
         assert trie._num_nodes == trie.stats().num_nodes
         assert len(trie) == 1
+
+    def test_ipv6_destination_rejected_before_any_allocation(self):
+        """An IPv6 prefix used to die in ``_chunk`` with a bare ValueError
+        (negative shift) three nodes into the walk."""
+        trie = MultiBitTrie()
+        trie.insert(rule(1, "203.0.113.0/24"))
+        before = trie.stats()
+        v6 = rule(2, "2001:db8::/32", src_prefix="::/0")
+        with pytest.raises(LookupError_, match="IPv4"):
+            trie.insert(v6)
+        assert trie.stats() == before
+        assert trie._num_nodes == before.num_nodes
+        assert 2 not in trie and len(trie) == 1

@@ -1,5 +1,7 @@
 """Rules: patterns, rule sets, RPKI validation, wire format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from repro.core.rules import (
 )
 from repro.dataplane.packet import FiveTuple, Protocol
 from repro.errors import RuleError, RuleValidationError
-from tests.conftest import VICTIM, VICTIM_PREFIX
+from repro.util.addrs import int_to_ipv4
+from tests.conftest import VICTIM, VICTIM_PREFIX, linear_match
 
 
 def flow(**kw) -> FiveTuple:
@@ -339,3 +342,99 @@ def test_match_is_most_specific(src, dst, sp, dp):
     candidates = [r for r in rules if r.pattern.matches(f)]
     best = max(candidates, key=lambda r: (r.pattern.specificity, -r.rule_id))
     assert matched.rule_id == best.rule_id
+
+
+# -- the match index against a linear reference --------------------------------
+
+
+def _random_rule(rng: random.Random, rule_id: int) -> FilterRule:
+    if rng.random() < 0.08:
+        # The index keeps non-IPv4 destinations outside the trie.
+        length = rng.choice([32, 48, 64])
+        pattern = FlowPattern(
+            src_prefix="::/0",
+            dst_prefix=f"2001:db8:{rng.randrange(4):x}::/{length}",
+        )
+    else:
+        # Few distinct networks per length, so rules overlap and tie.
+        length = rng.choice([0, 8, 12, 16, 20, 24, 28, 32])
+        dst = (0xCB000000 | rng.randrange(4) << 20 | rng.randrange(4) << 6) & (
+            (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+        )
+        pattern = FlowPattern(
+            src_prefix=rng.choice(["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16"]),
+            dst_prefix=f"{int_to_ipv4(dst)}/{length}",
+            dst_ports=rng.choice([None, None, (80, 80), (0, 1023)]),
+            protocol=rng.choice([None, None, Protocol.TCP, Protocol.UDP]),
+        )
+    return FilterRule(rule_id=rule_id, pattern=pattern, action=Action.DROP)
+
+
+def _random_flow(rng: random.Random) -> FiveTuple:
+    if rng.random() < 0.1:
+        return FiveTuple(
+            src_ip="2001:db8:ffff::1",
+            dst_ip=f"2001:db8:{rng.randrange(4):x}::{rng.randrange(1, 9):x}",
+            src_port=4000,
+            dst_port=80,
+            protocol=Protocol.TCP,
+        )
+    dst = 0xCB000000 | rng.randrange(4) << 20 | rng.randrange(4) << 6 | rng.randrange(4)
+    return FiveTuple(
+        src_ip=rng.choice(["10.1.2.3", "10.200.0.1", "172.16.0.1"]),
+        dst_ip=int_to_ipv4(dst),
+        src_port=4000,
+        dst_port=rng.choice([80, 443, 8080]),
+        protocol=rng.choice([Protocol.TCP, Protocol.UDP]),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_match_index_agrees_with_linear_scan_under_churn(seed):
+    """Interleaved add/remove on overlapping rules, before and after the
+    index exists: every flow's match() is the linear most-specific one."""
+    rng = random.Random(seed)
+    rules = RuleSet(_random_rule(rng, i) for i in range(60))
+    flows = [_random_flow(rng) for _ in range(60)]
+    next_id = 60
+    hits = 0
+    for step in range(40):
+        if step % 2:
+            rules.remove(rng.choice(rules.rules()).rule_id)
+        else:
+            rules.add(_random_rule(rng, next_id))
+            next_id += 1
+        live = rules.rules()
+        rng.shuffle(live)  # the reference must not lean on iteration order
+        for f in flows:
+            expected = linear_match(live, f)
+            assert rules.match(f) is expected
+            hits += expected is not None
+    assert hits > 500  # the rules really do overlap the flows
+
+
+def test_ipv6_rules_still_match_beside_the_index():
+    v6 = FilterRule(
+        rule_id=1,
+        pattern=FlowPattern(src_prefix="::/0", dst_prefix="2001:db8::/32"),
+        action=Action.DROP,
+    )
+    finer = FilterRule(
+        rule_id=2,
+        pattern=FlowPattern(src_prefix="::/0", dst_prefix="2001:db8::/64"),
+        action=Action.ALLOW,
+    )
+    v4 = FilterRule(rule_id=3, pattern=FlowPattern(), action=Action.ALLOW)
+    rules = RuleSet([v6, v4])
+    v6_flow = FiveTuple(
+        src_ip="2001:db8:1::1", dst_ip="2001:db8::2",
+        src_port=1, dst_port=2, protocol=Protocol.TCP,
+    )
+    assert rules.match(v6_flow) is v6
+    assert rules.match(flow()) is v4
+    rules.add(finer)  # after the index was built
+    assert rules.match(v6_flow) is finer
+    rules.remove(2)
+    assert rules.match(v6_flow) is v6
+    rules.remove(1)
+    assert rules.match(v6_flow) is None

@@ -28,6 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     FleetBackend,
     PktgenSource,
+    RuleDelta,
     ServeChaosDriver,
     ServeConfig,
     ServeService,
@@ -274,6 +275,27 @@ def test_fleet_backend_churn_reattests_through_ias_outage(fresh_obs):
         "install", "install", "remove", "remove",
     ]
     assert obs.get_registry().check_invariants() == []
+
+
+def test_fleet_backend_ruleset_version_is_monotonic():
+    """It used to be ``len(active_rule_ids)``: an install followed by a
+    remove reported the version it started from."""
+    fleet = FleetManager(IXPController(FlakyIAS()))
+    fleet.deploy(_rules(4), enclaves_override=2)
+    backend = FleetBackend(fleet)
+    start = backend.ruleset_version
+    extra = FilterRule(
+        rule_id=99,
+        pattern=FlowPattern(dst_prefix="203.0.200.0/24"),
+        action=Action.DROP,
+        requested_by=VICTIM,
+        rate_bps=0.1 * GBPS,
+    )
+    backend.apply_delta(RuleDelta("install", rule=extra))
+    installed = backend.ruleset_version
+    backend.apply_delta(RuleDelta("remove", rule_id=99))
+    assert start < installed < backend.ruleset_version
+    assert fleet.active_rule_ids == [1, 2, 3, 4]
 
 
 # -- scoping: serve faults and round faults stay on their own replay paths ---
