@@ -2,7 +2,7 @@
 
 Turns the batch-oriented fleet/pipeline/shard stack into an operable
 long-running process with four cooperating stage tasks over **bounded**
-queues:
+hops:
 
 .. code-block:: text
 
@@ -13,7 +13,15 @@ queues:
 
 Design rules the tests enforce:
 
-* **Backpressure, never buffering.**  Every inter-stage queue is bounded.
+* **Ring hand-offs.**  Each hop is a :class:`_Hop`: a deque of at most
+  ``queue_depth`` bursts between one producer and one consumer, the
+  asyncio analogue of a DPDK ring.  A hand-off that need not wait is a
+  deque operation; only a stage that must wait parks (on a bare future,
+  never a Task).  Stages run until they would block, except that the
+  filter stage hands the loop over every :data:`HANDOFF_PACKETS`
+  adjudicated packets, or at once when a rule delta is queued, and
+  ingest hands it over when its put woke an idle filter stage.
+* **Backpressure, never buffering.**  Every inter-stage hop is bounded.
   When the filter stage falls behind, ``rx_q.put`` blocks and ingest
   simply stops pulling bursts; if a burst cannot be enqueued within
   ``shed_timeout_s`` it is **shed** — counted, never silently dropped —
@@ -30,7 +38,7 @@ Design rules the tests enforce:
   restart budget.  A restarted filter stage resumes its in-flight burst:
   the burst rides in ``self._filter_pending`` from dequeue to hand-off,
   so a restart re-processes instead of losing it.
-* **Graceful drain.**  ``drain()`` stops ingest, flushes both queues
+* **Graceful drain.**  ``drain()`` stops ingest, flushes both hops
   through filter and audit, emits the final journal/metrics snapshot,
   and returns a report with **zero** unaccounted packets:
   ``ingested == allowed + dropped + unrouted + shed`` exactly.
@@ -65,6 +73,19 @@ from repro.serve.backends import RuleDelta
 
 STAGES = ("ingest", "filter", "audit")
 
+#: The filter stage yields the event loop once this many packets were
+#: adjudicated since its last yield: the paper's calibrated DPDK burst
+#: (``CostModel.calibrated_batch_size``).  A 256-packet burst is handed to
+#: audit before the next is adjudicated; 8-packet bursts share a loop turn
+#: four at a time.
+HANDOFF_PACKETS = 32
+#: A consumer stage parked this long on an empty hop returns idle, so its
+#: heartbeat stays fresh while no traffic flows.
+_IDLE_GET_S = 0.05
+#: Ingest's pause while it has nothing to pull (source exhausted, or not
+#: serving).
+_INGEST_IDLE_S = 0.005
+
 #: Chaos hook signature: ``await hook(stage_name, burst_index)``; hooks are
 #: await points, so a hanging hook is cancellable by the watchdog.
 ChaosHook = Callable[[str, int], Awaitable[None]]
@@ -81,13 +102,95 @@ class ServeState(enum.Enum):
 _STATE_CODES = {state: i for i, state in enumerate(ServeState)}
 
 
+def _wake(waiter: Optional[asyncio.Future]) -> None:
+    if waiter is not None and not waiter.done():
+        waiter.set_result(None)
+
+
+async def _park(waiter: asyncio.Future, timeout: Optional[float]) -> None:
+    """Await ``waiter`` until it is woken or ``timeout`` seconds pass."""
+    if timeout is None:
+        await waiter
+        return
+    timer = asyncio.get_running_loop().call_later(timeout, _wake, waiter)
+    try:
+        await waiter
+    finally:
+        timer.cancel()
+
+
+class _Hop:
+    """A bounded hand-off between two stages: a deque of at most
+    ``maxsize`` items, one producer, one consumer.  An unbounded hop
+    (``maxsize`` 0) never parks a producer, so it may have several.
+
+    A put or get that need not wait is a plain deque operation.  One that
+    must wait parks on a bare future with a loop timer for its timeout.
+    No Task is created, and a cancel of the waiting stage always
+    propagates — unlike ``asyncio.wait_for``, which returns normally when
+    the cancel arrives just after the inner put completed.
+    """
+
+    def __init__(self, maxsize: int = 0) -> None:
+        self._items: Deque = deque()
+        self._maxsize = maxsize
+        self._getter: Optional[asyncio.Future] = None
+        self._putter: Optional[asyncio.Future] = None
+
+    def empty(self) -> bool:
+        return not self._items
+
+    def full(self) -> bool:
+        return 0 < self._maxsize <= len(self._items)
+
+    def waiting_consumer(self) -> bool:
+        """True while the consumer is parked on an empty hop."""
+        return self._getter is not None
+
+    def put_nowait(self, item) -> None:
+        self._items.append(item)
+        _wake(self._getter)
+
+    def get_nowait(self):
+        item = self._items.popleft()
+        _wake(self._putter)
+        return item
+
+    async def put(self, item, timeout: Optional[float] = None) -> bool:
+        """Append ``item``, waiting up to ``timeout`` seconds for room;
+        False (nothing appended) if the hop stayed full."""
+        if self.full():
+            self._putter = asyncio.get_running_loop().create_future()
+            try:
+                await _park(self._putter, timeout)
+            finally:
+                self._putter = None
+            if self.full():
+                return False
+        self.put_nowait(item)
+        return True
+
+    async def get(self, timeout: Optional[float] = None):
+        """Pop the oldest item, waiting up to ``timeout`` seconds for one;
+        None if the hop stayed empty."""
+        if not self._items:
+            self._getter = asyncio.get_running_loop().create_future()
+            try:
+                await _park(self._getter, timeout)
+            finally:
+                self._getter = None
+            if not self._items:
+                return None
+        return self.get_nowait()
+
+
 @dataclass
 class ServeConfig:
     """Knobs for the serve runtime (see docs/OPERATIONS.md)."""
 
-    #: Bursts each bounded inter-stage queue holds before backpressure.
+    #: Bursts each bounded inter-stage hop holds before backpressure.
     queue_depth: int = 8
-    #: How long ingest waits on a full filter queue before shedding the
+    #: How long ingest waits on a full filter hop before shedding the
     #: burst.  Backpressure below this bound is free; beyond it, shedding
     #: keeps memory bounded and the books honest.
     shed_timeout_s: float = 0.25
@@ -195,7 +298,7 @@ class ServeService:
             raise ConfigurationError("max_stage_restarts must be >= 0")
         if cfg.heartbeat_deadline_s <= cfg.shed_timeout_s:
             # Ingest legitimately blocks up to shed_timeout_s per burst on
-            # a full queue; a deadline inside that window turns ordinary
+            # a full hop; a deadline inside that window turns ordinary
             # backpressure into false hang verdicts.
             raise ConfigurationError(
                 "heartbeat_deadline_s must exceed shed_timeout_s "
@@ -238,9 +341,10 @@ class ServeService:
             f"serve_conservation/{self.label}", self._conservation_violation
         )
 
-        self._rx_q: Optional[asyncio.Queue] = None
-        self._audit_q: Optional[asyncio.Queue] = None
-        self._control_q: Optional[asyncio.Queue] = None
+        self._rx_q = _Hop(cfg.queue_depth)
+        self._audit_q = _Hop(cfg.queue_depth)
+        #: Unbounded: any number of callers may queue deltas, none waits.
+        self._control_q = _Hop()
         self._tasks: Dict[str, asyncio.Task] = {}
         self._control_task: Optional[asyncio.Task] = None
         self._watchdog_task: Optional[asyncio.Task] = None
@@ -251,11 +355,15 @@ class ServeService:
         self._inflight = 0
         #: The ingest stage's resume cell: the pulled-but-unqueued burst.
         self._ingest_pending: Optional[list] = None
-        #: The filter stage's resume cell: [burst, verdicts-or-None].
+        #: The filter stage's resume cell: [burst_index, burst,
+        #: verdicts-or-None].  Each hop item carries its burst's ingest
+        #: index, so every stage's chaos hook names the burst it handles.
         self._filter_pending: Optional[list] = None
-        #: The audit stage's resume cell: (burst, verdicts).
+        #: The audit stage's resume cell: (burst_index, burst, verdicts).
         self._audit_pending: Optional[tuple] = None
         self._burst_index = 0
+        #: Packets the filter stage adjudicated since it last yielded.
+        self._unyielded = 0
         self._audited_bursts = 0
         self._offload_rounds = 0
         self._source_exhausted = False
@@ -289,7 +397,7 @@ class ServeService:
             + c["shed"].value
         )
         # A pulled burst is counted ``ingested`` immediately but only
-        # joins ``_inflight`` once the queue put lands; the audit stage
+        # joins ``_inflight`` once the hop put lands; the audit stage
         # (conservation SLO) can observe that await window, so the burst
         # riding in ``_ingest_pending`` must count toward the balance.
         pending = (
@@ -331,9 +439,6 @@ class ServeService:
         if self._tasks:
             raise ConfigurationError("service already started")
         cfg = self.config
-        self._rx_q = asyncio.Queue(maxsize=cfg.queue_depth)
-        self._audit_q = asyncio.Queue(maxsize=cfg.queue_depth)
-        self._control_q = asyncio.Queue()
         self._source_iter = iter(self.source.bursts())
         self._started_at = time.perf_counter()
         if hasattr(self.backend, "start"):
@@ -368,9 +473,16 @@ class ServeService:
     def _beat(self, stage: str) -> None:
         self._heartbeats[stage] = asyncio.get_running_loop().time()
 
-    async def _maybe_chaos(self, stage: str) -> None:
+    def _credit_heartbeats(self, blocked_s: float) -> None:
+        """Move every heartbeat forward by ``blocked_s`` (never past now):
+        time the event loop was blocked does not count toward a deadline."""
+        now = asyncio.get_running_loop().time()
+        for stage, beat in self._heartbeats.items():
+            self._heartbeats[stage] = min(now, beat + blocked_s)
+
+    async def _maybe_chaos(self, stage: str, burst_index: int) -> None:
         if self.chaos is not None:
-            await self.chaos(stage, self._burst_index)
+            await self.chaos(stage, burst_index)
 
     # -- stages -----------------------------------------------------------------
 
@@ -399,41 +511,41 @@ class ServeService:
                             worst=self.latency.sketch(stage).bucket_bound(elapsed),
                         )
             else:
-                idle = await body()
-            if idle:
-                await asyncio.sleep(0.005)
+                await body()
 
     async def _ingest_once(self) -> bool:
         """Pull one burst and enqueue it (or shed under backpressure).
 
         The pulled burst rides in ``self._ingest_pending`` until it is
         either queued (counted in-flight) or shed, so a cancellation at
-        any await point — chaos hook, queue put — can never leak an
+        any await point — chaos hook, hop put — can never leak an
         ingested-but-unaccounted burst: a restarted stage resumes it, and
         drain/fail-closed sheds it explicitly.
         """
         if self.state is not ServeState.SERVING or self._source_exhausted:
+            await asyncio.sleep(_INGEST_IDLE_S)
             return True
         if self._ingest_pending is None:
             try:
                 burst = next(self._source_iter)
             except StopIteration:
                 self._source_exhausted = True
+                await asyncio.sleep(_INGEST_IDLE_S)
                 return True
             self._ingest_pending = burst
             self._burst_index += 1
             self._counters["bursts"].inc()
             self._counters["ingested"].inc(len(burst))
         burst = self._ingest_pending
-        await self._maybe_chaos("ingest")
-        try:
-            await asyncio.wait_for(
-                self._rx_q.put(burst), timeout=self.config.shed_timeout_s
-            )
+        await self._maybe_chaos("ingest", self._burst_index)
+        wakes_filter = self._rx_q.waiting_consumer()
+        if await self._rx_q.put(
+            (self._burst_index, burst), self.config.shed_timeout_s
+        ):
             self._inflight += len(burst)
             self._burst_marks.append((self._burst_index, time.perf_counter()))
-        except asyncio.TimeoutError:
-            # The filter queue stayed full past the bound: shed the burst
+        else:
+            # The filter hop stayed full past the bound: shed the burst
             # (counted, conservation-visible) instead of buffering it.
             self._counters["shed"].inc(len(burst))
             # A shed burst never reaches audit, so its SLO window closes
@@ -441,6 +553,10 @@ class ServeService:
             self._slo_observe(SLO_SHED_RATIO, self._burst_index, bad=True)
             self._slo_close(self._burst_index)
         self._ingest_pending = None
+        if wakes_filter:
+            # The filter was idle: let it start on this burst now rather
+            # than after ingest has filled the hop.
+            await asyncio.sleep(0)
         if self.config.ingest_interval_s:
             await asyncio.sleep(self.config.ingest_interval_s)
         return False
@@ -448,20 +564,17 @@ class ServeService:
     async def _filter_once(self) -> bool:
         """Adjudicate one burst; resumes the in-flight burst after restart."""
         if self._filter_pending is None:
-            try:
-                burst = await asyncio.wait_for(
-                    self._rx_q.get(), timeout=0.05
-                )
-            except asyncio.TimeoutError:
+            item = await self._rx_q.get(_IDLE_GET_S)
+            if item is None:
                 return True
-            self._filter_pending = [burst, None]
-        burst, verdicts = self._filter_pending
-        await self._maybe_chaos("filter")
+            self._filter_pending = [*item, None]
+        index, burst, verdicts = self._filter_pending
+        await self._maybe_chaos("filter", index)
         if verdicts is None:
             # Synchronous adjudication: no await between the verdict and
             # the booking, so a cancellation can never half-book a burst.
             verdicts = self.backend.process_burst(burst)
-            self._filter_pending[1] = verdicts
+            self._filter_pending[2] = verdicts
             allowed = dropped = unrouted = 0
             for verdict in verdicts:
                 if verdict is UNROUTED:
@@ -474,21 +587,25 @@ class ServeService:
             self._counters["dropped"].inc(dropped)
             self._counters["unrouted"].inc(unrouted)
             self._inflight -= len(burst)
-        await self._audit_q.put((burst, verdicts))
+        await self._audit_q.put((index, burst, verdicts))
         self._filter_pending = None
+        # Hand the loop to audit (and to a queued delta) every
+        # HANDOFF_PACKETS: a burst waits for audit at most one calibrated
+        # DPDK burst, and a delta at most one adjudicated burst.
+        self._unyielded += len(burst)
+        if self._unyielded >= HANDOFF_PACKETS or not self._control_q.empty():
+            self._unyielded = 0
+            await asyncio.sleep(0)
         return False
 
     async def _audit_once(self) -> bool:
         """Account one adjudicated burst (and feed the flight recorder)."""
         if self._audit_pending is None:
-            try:
-                self._audit_pending = await asyncio.wait_for(
-                    self._audit_q.get(), timeout=0.05
-                )
-            except asyncio.TimeoutError:
+            self._audit_pending = await self._audit_q.get(_IDLE_GET_S)
+            if self._audit_pending is None:
                 return True
-        burst, verdicts = self._audit_pending
-        await self._maybe_chaos("audit")
+        index, burst, verdicts = self._audit_pending
+        await self._maybe_chaos("audit", index)
         recorder = obs.get_flight_recorder()
         if recorder.enabled:
             recorder.record_batch(
@@ -576,7 +693,7 @@ class ServeService:
                 f"cannot apply rule deltas while {self.state.value}"
             )
         done: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._control_q.put((delta, done))
+        self._control_q.put_nowait((delta, done))
         await done
 
     async def install_rule(self, rule: FilterRule) -> None:
@@ -618,17 +735,22 @@ class ServeService:
                 return
             now = loop.time()
             starved = now - last_poll > cfg.watchdog_interval_s * 4
-            last_poll = now
             if starved:
                 # The event loop itself was blocked (a synchronous burst —
                 # e.g. sharded-plane recovery — ran long), so *every*
                 # heartbeat looks stale.  That is busyness, not a hang:
-                # re-beat and re-arm instead of mass-restarting healthy
-                # stages.  A genuinely hung stage trips the deadline again
-                # on a later (unstarved) poll.
-                for stage in STAGES:
-                    self._beat(stage)
+                # credit every stage with the blocked time instead of
+                # mass-restarting healthy stages.  Only the blocked time is
+                # forgiven: a hung stage keeps the staleness it gathered
+                # before and between blocking calls (a storm of fleet rule
+                # deltas, say), so it trips the deadline once the loop is
+                # free again.
+                self._credit_heartbeats(
+                    now - last_poll - cfg.watchdog_interval_s
+                )
+                last_poll = now
                 continue
+            last_poll = now
             # Backend self-heal (sharded planes restart dead workers here).
             if hasattr(self.backend, "heal"):
                 try:
@@ -642,9 +764,8 @@ class ServeService:
             if now - last_poll > cfg.watchdog_interval_s * 4:
                 # heal() itself ran long (worker respawn + re-dispatch);
                 # same starvation story as above.
+                self._credit_heartbeats(now - last_poll)
                 last_poll = now
-                for stage in STAGES:
-                    self._beat(stage)
                 continue
             last_poll = now
             for stage in STAGES:
@@ -723,12 +844,12 @@ class ServeService:
             # Pulled but never queued: counted ingested, not yet in-flight.
             shed += len(self._ingest_pending)
             self._ingest_pending = None
-        if self._filter_pending is not None and self._filter_pending[1] is None:
-            shed += len(self._filter_pending[0])
-            inflight_shed += len(self._filter_pending[0])
+        if self._filter_pending is not None and self._filter_pending[2] is None:
+            shed += len(self._filter_pending[1])
+            inflight_shed += len(self._filter_pending[1])
             self._filter_pending = None
-        while self._rx_q is not None and not self._rx_q.empty():
-            burst = self._rx_q.get_nowait()
+        while not self._rx_q.empty():
+            _, burst = self._rx_q.get_nowait()
             shed += len(burst)
             inflight_shed += len(burst)
         if shed:
@@ -768,7 +889,9 @@ class ServeService:
         started = time.perf_counter()
         self._set_state(ServeState.DRAINING)
         # 1. Stop ingest (state gate makes _ingest_once a no-op; cancel the
-        #    task so a burst stuck in a shed-wait is re-shed deterministically).
+        #    task so a burst stuck in a shed-wait is shed deterministically —
+        #    the hop's put parks on a bare future, so the cancel cannot be
+        #    swallowed by a put that completed in the same loop turn).
         ingest = self._tasks.pop("ingest", None)
         if ingest is not None and not ingest.done():
             ingest.cancel()
@@ -781,7 +904,7 @@ class ServeService:
             # (counted), never silently lost.
             self._counters["shed"].inc(len(self._ingest_pending))
             self._ingest_pending = None
-        # 2. Flush: wait for both queues and both resume cells to empty.
+        # 2. Flush: wait for both hops and both resume cells to empty.
         deadline = started + self.config.drain_timeout_s
         while (
             not self._rx_q.empty()

@@ -9,6 +9,7 @@ watchdog knobs so the tests stay deterministic on loaded CI hosts.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -407,3 +408,316 @@ def test_serve_bounded_applies_deltas_and_drains():
     assert report.rule_updates == 2
     assert report.unaccounted == 0
     assert report.ingested == 20 * 4
+
+
+# -- stage hand-offs ----------------------------------------------------------
+
+
+class _NullBackend:
+    """Allows everything, and logs each call for the ordering tests."""
+
+    def __init__(self, log=None) -> None:
+        self.log = [] if log is None else log
+
+    def process_burst(self, burst):
+        self.log.append(("process", len(burst)))
+        return [True] * len(burst)
+
+    def apply_delta(self, delta) -> None:
+        self.log.append(("apply",))
+
+    def close(self) -> None:
+        pass
+
+
+class _RepeatSource:
+    """``count`` bursts of ``size`` identical packets."""
+
+    def __init__(self, size: int, count: int) -> None:
+        self.burst = [_packet("203.0.50.9")] * size
+        self.count = count
+
+    def bursts(self):
+        for _ in range(self.count):
+            yield self.burst
+
+
+class _CloseLog:
+    """A duck-typed ``slo=`` probe that only logs ``close_burst``."""
+
+    def __init__(self, log) -> None:
+        self.log = log
+
+    def has(self, name: str) -> bool:
+        return False
+
+    def close_burst(self, index: int) -> None:
+        self.log.append(("close", index))
+
+
+def test_saturated_bursts_create_no_tasks():
+    """Hops park on bare futures: after start() the service creates no
+    Task at all (asyncio.wait_for made three per burst, one per hop)."""
+    bursts = 500
+
+    async def scenario():
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        asyncio.get_running_loop().set_task_factory(factory)
+        service = ServeService(_RepeatSource(8, bursts), _NullBackend())
+        await service.start()
+        at_start = len(created)
+        report = await _run_to_exhaustion(service)
+        return at_start, len(created) - at_start, report
+
+    at_start, after_start, report = asyncio.run(scenario())
+    assert report.ingested == bursts * 8
+    assert report.shed == 0 and report.unaccounted == 0
+    assert at_start == 5  # three stages, control, watchdog
+    assert after_start == 0
+
+
+def test_delta_behind_a_full_filter_hop_waits_at_most_one_burst():
+    """The filter stage hands over at once when a delta is queued, not
+    only every 32 packets: the delta waits for at most one burst."""
+    log = []
+
+    async def scenario():
+        gate = asyncio.Event()
+
+        async def hold_filter(stage, index):
+            if stage == "filter":
+                await gate.wait()
+
+        service = ServeService(
+            _RepeatSource(8, 400), _NullBackend(log), chaos=hold_filter
+        )
+        await service.start()
+        while not service._rx_q.full():
+            await asyncio.sleep(0)
+        # The filter resumes before the control stage sees the delta.
+        gate.set()
+        log.append(("queued",))
+        await service.install_rule(_rule(9, 109))
+        return await _run_to_exhaustion(service)
+
+    report = asyncio.run(scenario())
+    assert report.rule_updates == 1 and report.unaccounted == 0
+    queued, applied = log.index(("queued",)), log.index(("apply",))
+    between = [entry for entry in log[queued:applied] if entry[0] == "process"]
+    assert len(between) <= 1
+
+
+@pytest.mark.parametrize("size,most_open", [(32, 1), (256, 1), (8, 4)])
+def test_audit_closes_bursts_every_handoff(size, most_open):
+    """A burst of >= 32 packets is closed by audit before the next one is
+    adjudicated; 8-packet bursts share a hand-off at most four at a time."""
+    log = []
+
+    async def scenario():
+        service = ServeService(
+            _RepeatSource(size, 60), _NullBackend(log), slo=_CloseLog(log)
+        )
+        await service.start()
+        return await _run_to_exhaustion(service)
+
+    report = asyncio.run(scenario())
+    assert report.shed == 0 and report.unaccounted == 0
+    processed = closed = widest = 0
+    for entry in log:
+        if entry[0] == "process":
+            processed += 1
+            widest = max(widest, processed - closed)
+        elif entry[0] == "close":
+            closed += 1
+            assert entry[1] == closed  # closes arrive in burst order
+    assert processed == closed == 60
+    assert widest <= most_open
+
+
+def test_chaos_hooks_name_the_burst_each_stage_handles():
+    """Ingest runs up to ``queue_depth`` bursts ahead of the filter, so the
+    filter and audit hooks get the index carried with the burst, not
+    ingest's counter: an event aimed at burst k fires on burst k."""
+    bursts = 20
+    seen = {stage: [] for stage in ("ingest", "filter", "audit")}
+    processed = []
+
+    class _Sized:
+        def bursts(self):
+            for k in range(1, bursts + 1):
+                yield [_packet("203.0.50.9")] * k
+
+    class _Backend(_NullBackend):
+        def process_burst(self, burst):
+            processed.append(len(burst))
+            return super().process_burst(burst)
+
+    async def record(stage, index):
+        seen[stage].append(index)
+
+    async def scenario():
+        service = ServeService(_Sized(), _Backend(), chaos=record)
+        await service.start()
+        return await _run_to_exhaustion(service)
+
+    report = asyncio.run(scenario())
+    assert report.unaccounted == 0 and report.shed == 0
+    in_order = list(range(1, bursts + 1))
+    assert processed == in_order  # burst k holds k packets
+    assert seen == {stage: in_order for stage in seen}
+
+
+def test_put_that_wakes_an_idle_filter_hands_it_the_burst_at_once():
+    """An idle filter starts on the burst that woke it; it does not wait
+    for ingest to pull the next ones and fill the hop first."""
+    log = []
+
+    async def scenario():
+        async def pull(stage, index):
+            if stage == "ingest":
+                if index == 1:
+                    await asyncio.sleep(0.01)  # the filter parks meanwhile
+                log.append(("pull", index))
+
+        service = ServeService(
+            _RepeatSource(4, 3), _NullBackend(log), chaos=pull
+        )
+        await service.start()
+        return await _run_to_exhaustion(service)
+
+    report = asyncio.run(scenario())
+    assert report.unaccounted == 0
+    assert log[:3] == [("pull", 1), ("process", 4), ("pull", 2)]
+
+
+def test_hang_outlasting_a_storm_of_blocking_deltas_is_restarted():
+    """A starved watchdog poll forgives only the time the loop was blocked.
+    A filter hang that began before a storm of loop-blocking rule deltas
+    and outlasts it by less than the deadline is still restarted; when
+    every starved poll re-beat all stages, the storm hid the hang."""
+
+    class _BlockingDeltas(_NullBackend):
+        def apply_delta(self, delta) -> None:
+            time.sleep(0.1)  # e.g. a synchronous re-attestation
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        hung_at = loop.create_future()
+
+        async def hang_filter(stage, index):
+            if stage == "filter" and index == 1:
+                hung_at.set_result(loop.time())
+                await asyncio.sleep(3.8)
+
+        service = ServeService(
+            _RepeatSource(4, 10_000),
+            _BlockingDeltas(),
+            ServeConfig(heartbeat_deadline_s=1.0, shed_timeout_s=0.1,
+                        watchdog_interval_s=0.02),
+            chaos=hang_filter,
+        )
+        await service.start()
+        start = await hung_at
+        await asyncio.sleep(0.8)
+        rule_id = 100
+        while loop.time() < start + 3.3:
+            await service.install_rule(_rule(rule_id, 10))
+            rule_id += 1
+        while loop.time() < start + 3.8 and not service._restarts["filter"]:
+            await asyncio.sleep(0.01)
+        restarts = service._restarts["filter"]
+        return restarts, await service.drain()
+
+    restarts, report = asyncio.run(scenario())
+    assert restarts == 1
+    assert report.unaccounted == 0
+
+
+def test_idle_consumer_reparks_without_sleeping():
+    """A consumer whose 50 ms get timed out re-parks in the same step, so a
+    burst put during its idle return is picked up at once (it used to
+    sleep another 5 ms before looking again)."""
+    log = []
+
+    async def scenario():
+        idled = asyncio.get_running_loop().create_future()
+
+        async def hold_second_burst(stage, index):
+            if stage == "ingest" and index == 2:
+                await idled
+                log.append(("put",))
+
+        service = ServeService(
+            _RepeatSource(4, 2), _NullBackend(log), chaos=hold_second_burst
+        )
+        inner_get = service._rx_q.get
+
+        async def get(timeout=None):
+            log.append(("get",))
+            item = await inner_get(timeout)
+            if item is None:
+                log.append(("idle",))
+                if not idled.done():
+                    idled.set_result(None)
+            return item
+
+        service._rx_q.get = get
+        await service.start()
+        return await _run_to_exhaustion(service)
+
+    report = asyncio.run(scenario())
+    assert report.ingested == 8 and report.unaccounted == 0
+    idle = log.index(("idle",))
+    assert log[idle + 1 : idle + 4] == [("get",), ("put",), ("process", 4)]
+
+
+def test_drain_returns_when_a_parked_put_was_freed_in_the_same_turn():
+    """Regression: ingest parked on a full hop, the filter frees a slot,
+    and drain() cancels ingest before ingest ran again.  asyncio.wait_for
+    swallowed that cancel once its inner put had completed, so the ingest
+    task never ended and drain() awaited it forever."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        gate = asyncio.Event()
+
+        async def hold_filter(stage, index):
+            if stage == "filter":
+                await gate.wait()
+
+        service = ServeService(
+            _RepeatSource(4, 50),
+            _NullBackend(),
+            ServeConfig(queue_depth=1, shed_timeout_s=5.0,
+                        heartbeat_deadline_s=10.0),
+            chaos=hold_filter,
+        )
+        await service.start()
+        # The filter holds burst 1, the hop holds burst 2, and ingest is
+        # parked on the full hop with burst 3.
+        while not (service._rx_q.full() and service._ingest_pending):
+            await asyncio.sleep(0)
+        gate.set()
+        # The filter runs first: it adjudicates burst 1 and takes burst 2,
+        # which frees the slot ingest is parked on.
+        while service._rx_q.full():
+            await asyncio.sleep(0)
+        assert service._ingest_pending  # ingest has not run since
+        hung = []
+        task = asyncio.current_task()
+        timer = loop.call_later(1.0, lambda: (hung.append(True), task.cancel()))
+        report = await service.drain()
+        timer.cancel()
+        return hung, report
+
+    hung, report = asyncio.run(scenario())
+    assert not hung, "drain() did not return within 1 s"
+    assert report.state == "drained"
+    assert report.unaccounted == 0
+    assert report.shed == 4  # burst 3, pulled but never queued
+    assert report.ingested == 3 * 4
