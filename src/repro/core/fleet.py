@@ -25,6 +25,11 @@ loss, EPC exhaustion and IAS outages:
   survivor's rule set; only if repair is infeasible does the manager fall
   back to a full :func:`~repro.optim.greedy.greedy_solve` over the
   surviving fleet;
+* **hot rule updates** — :meth:`FleetManager.install_rules` packs new
+  rules into the existing allocation with the repair loop
+  (:func:`~repro.optim.repair.pack_shares`) and
+  :meth:`FleetManager.remove_rules` drops them in place, so only the
+  enclaves a delta touched are diff-installed and re-attested;
 * **graceful degradation** — when surviving capacity is below demand, rules
   are shed in priority/bandwidth order (:func:`~repro.optim.repair.shed_order`)
   and their traffic is *blackholed at the load balancer* — never passed
@@ -56,10 +61,11 @@ from repro.errors import (
     FleetError,
     InfeasibleError,
     RecoveryFailed,
+    RuleError,
 )
 from repro.optim.greedy import greedy_solve
 from repro.optim.problem import Allocation, RuleDistributionProblem
-from repro.optim.repair import repair_allocation, shed_order
+from repro.optim.repair import pack_shares, repair_allocation, shed_order
 from repro.tee.attestation import PAPER_ATTESTATION_TIMING
 from repro.tee.enclave import Platform
 from repro.tee.epc import EPCAccounting
@@ -471,145 +477,224 @@ class FleetManager:
         bandwidth: Optional[float] = None,
         priority: Optional[int] = None,
     ) -> List[int]:
-        """Hot-install one rule into the serving fleet, without redeploy.
+        """Hot-install one rule: :meth:`install_rules` with one element."""
+        return self.install_rules(
+            [rule],
+            bandwidths=None if bandwidth is None else [bandwidth],
+            priorities=None if priority is None else {rule.rule_id: priority},
+        )
 
-        Re-solves the distribution over the live slots, diff-installs only
-        the deltas (surviving enclaves keep their rule sets wherever the
-        solver allows), rebuilds the load-balancer routes, and — when a
-        victim session is attached — re-attests every enclave whose rule
-        set changed, through the same bounded retry/backoff machinery that
-        failover uses.  If no feasible allocation admits the new rule, it
-        is installed *shed*: blackholed at the load balancer (fail-closed)
-        rather than rejected, so its traffic never passes unfiltered.
-        Returns the slots whose rule sets changed.
+    def install_rules(
+        self,
+        rules: Sequence[FilterRule],
+        bandwidths: Optional[Sequence[float]] = None,
+        priorities: Optional[Dict[int, int]] = None,
+    ) -> List[int]:
+        """Hot-install rules into the serving fleet as one change.
+
+        The new rules' bandwidth is packed into the *existing* allocation
+        over the live slots (:func:`~repro.optim.repair.pack_shares`, the
+        loop failover repair runs): no installed rule moves, and only the
+        slots that took a share are diff-installed and — when a victim
+        session is attached — re-attested, through the same bounded
+        retry/backoff machinery that failover uses.  The load-balancer
+        routes are rebuilt once.  When the packing cannot fit the rules,
+        the distribution is re-solved over the live slots
+        (:func:`~repro.optim.greedy.greedy_solve`, which may move every
+        rule); if that is infeasible too, new rules are installed *shed*,
+        in :func:`~repro.optim.repair.shed_order`, until the rest fit:
+        blackholed at the load balancer (fail-closed) rather than rejected,
+        so their traffic never passes unfiltered.  Journals one
+        ``rule_update`` event per rule, in order.  Returns the slots whose
+        rule sets changed.
         """
         if self._allocation is None and self._rule_order:
             raise FleetError("deploy() the fleet before hot rule updates")
-        self._rules.add(rule)
-        if priority is not None:
-            self._priorities[rule.rule_id] = priority
-        bw = rule.rate_bps if bandwidth is None else float(bandwidth)
-        changed = self._resolve_live(
-            add=(rule.rule_id, bw), action="install", rule_id=rule.rule_id
+        rules = list(rules)
+        if bandwidths is None:
+            bandwidths = [rule.rate_bps for rule in rules]
+        if len(bandwidths) != len(rules):
+            raise ConfigurationError("bandwidths do not match the rules")
+        new = [(rule.rule_id, float(bw)) for rule, bw in zip(rules, bandwidths)]
+        ids = [rid for rid, _ in new]
+        seen: Set[int] = set()
+        for rid in ids:
+            if rid in self._rules or rid in seen:
+                raise RuleError(f"duplicate rule id {rid}")
+            seen.add(rid)
+        live = self._live_slots()
+        # Validates the bandwidths before any book changes.
+        problem = self._problem(
+            self._bandwidths + [bw for _, bw in new], len(live)
         )
-        return changed
+        for rule in rules:
+            self._rules.add(rule)
+        self._priorities.update(priorities or {})
+
+        before = self._wanted_by_slot()
+        kept = list(new)
+        try:
+            allocation = self._packed(problem, live)
+        except InfeasibleError:
+            allocation = self._allocation
+            for victim in shed_order(new, self._priorities):
+                try:
+                    allocation = self._solved(kept, live)
+                    break
+                except InfeasibleError:
+                    # No capacity for this rule: fail closed — blackhole
+                    # it instead of letting its traffic pass.
+                    kept.remove(victim)
+                    self._shed.add(victim[0])
+                    self.counters.rules_shed += 1
+                    self.counters.shed_bandwidth_bps += victim[1]
+        self._rule_order = self._rule_order + [rid for rid, _ in kept]
+        self._bandwidths = self._bandwidths + [bw for _, bw in kept]
+        return self._commit(
+            "install", ids, allocation, before, self._shed.intersection(ids)
+        )
 
     def remove_rule(self, rule_id: int) -> List[int]:
-        """Hot-retract one rule from the serving fleet, without redeploy.
+        """Hot-retract one rule: :meth:`remove_rules` with one element."""
+        return self.remove_rules([rule_id])
 
-        The inverse of :meth:`install_rule`: books are updated, the
-        allocation is re-solved over the remaining active rules (always
-        feasible — demand only shrinks), deltas are diff-installed, and
-        changed enclaves are re-attested.  Removing a shed rule simply
+    def remove_rules(self, rule_ids: Sequence[int]) -> List[int]:
+        """Hot-retract rules from the serving fleet as one change.
+
+        The inverse of :meth:`install_rules`: each rule's shares are
+        dropped from the allocation in place (always feasible — demand only
+        shrinks), no other rule moves, and only the slots that held a share
+        are diff-installed and re-attested.  Removing a shed rule simply
         lifts its blackhole.  Returns the slots whose rule sets changed.
         """
-        self._rules.remove(rule_id)  # raises RuleError on unknown id
-        self._priorities.pop(rule_id, None)
-        if rule_id in self._shed:
-            self._shed.discard(rule_id)
-            self.controller.load_balancer.configure(
-                self._rules, self._current_routes()
+        ids = list(rule_ids)
+        gone: Set[int] = set()
+        for rid in ids:
+            if rid not in self._rules or rid in gone:
+                raise RuleError(f"unknown rule id {rid}")
+            gone.add(rid)
+        shed = self._shed.intersection(ids)
+        self._shed -= shed
+        for rid in ids:
+            self._rules.remove(rid)
+            self._priorities.pop(rid, None)
+
+        before = self._wanted_by_slot()
+        kept = [
+            k for k, rid in enumerate(self._rule_order) if rid not in gone
+        ]
+        renumber = {old: new for new, old in enumerate(kept)}
+        self._rule_order = [self._rule_order[k] for k in kept]
+        self._bandwidths = [self._bandwidths[k] for k in kept]
+        allocation: Optional[Allocation] = None
+        if self._allocation is not None and kept:
+            allocation = Allocation(
+                problem=self._problem(self._bandwidths, len(self._live_slots())),
+                assignments=[
+                    {
+                        renumber[i]: share
+                        for i, share in share_map.items()
+                        if i in renumber
+                    }
+                    for share_map in self._allocation.assignments
+                ],
             )
-            if self._shed:
-                self.controller.load_balancer.blackhole(self._shed)
-            self._journal_rule_update("remove", rule_id, [], shed=True)
-            return []
-        return self._resolve_live(
-            drop=rule_id, action="remove", rule_id=rule_id
+        return self._commit("remove", ids, allocation, before, shed)
+
+    def _live_slots(self) -> List[int]:
+        """Slots whose enclave is neither destroyed nor marked DEAD."""
+        self._sync_health()
+        return [
+            j
+            for j, enclave in enumerate(self.controller.enclaves)
+            if not enclave.destroyed
+            and self._health[j] is not EnclaveHealth.DEAD
+        ]
+
+    def _problem(
+        self, bandwidths: Sequence[float], enclaves: int
+    ) -> RuleDistributionProblem:
+        """The distribution problem for ``bandwidths`` over ``enclaves``
+        slots (at least one, so an all-dead fleet still validates input)."""
+        return RuleDistributionProblem(
+            bandwidths=list(bandwidths),
+            enclaves_override=max(enclaves, 1),
+            **self._problem_params,  # type: ignore[arg-type]
         )
 
-    def _current_routes(self) -> Dict[int, List[Tuple[int, float]]]:
-        """LB routes implied by the current allocation (for rebuilds)."""
-        routes: Dict[int, List[Tuple[int, float]]] = {}
-        if self._allocation is None:
-            return routes
-        for j, share_map in enumerate(self._allocation.assignments):
-            for i, share in share_map.items():
-                routes.setdefault(self._rule_order[i], []).append((j, share))
-        return routes
+    def _packed(
+        self, problem: RuleDistributionProblem, live: List[int]
+    ) -> Allocation:
+        """The current allocation with the rules ``problem`` adds beyond
+        the current ones packed onto the ``live`` slots."""
+        assignments = (
+            [dict(share_map) for share_map in self._allocation.assignments]
+            if self._allocation is not None
+            else [{} for _ in self.controller.enclaves]
+        )
+        new = range(len(self._rule_order), problem.num_rules)
+        pack_shares(
+            assignments, problem, live, {i: problem.bandwidths[i] for i in new}
+        )
+        return Allocation(problem=problem, assignments=assignments)
 
-    def _resolve_live(
-        self,
-        action: str,
-        rule_id: int,
-        add: Optional[Tuple[int, float]] = None,
-        drop: Optional[int] = None,
-    ) -> List[int]:
-        """Re-solve over live slots after a rule delta and install the diff."""
-        before = self._wanted_by_slot()
-        active = [
-            (rid, bw)
-            for rid, bw in zip(self._rule_order, self._bandwidths)
-            if rid != drop
-        ]
-        if add is not None:
-            active.append(add)
-        live_slots = [
-            j
-            for j in range(len(self.controller.enclaves))
-            if not self.controller.enclaves[j].destroyed
-            and not (
-                j < len(self._health)
-                and self._health[j] is EnclaveHealth.DEAD
-            )
-        ]
-        allocation: Optional[Allocation] = None
-        if active and live_slots:
-            problem = RuleDistributionProblem(
-                bandwidths=[bw for _, bw in active],
-                enclaves_override=len(live_slots),
-                **self._problem_params,  # type: ignore[arg-type]
-            )
-            try:
-                allocation = greedy_solve(problem)
-            except InfeasibleError:
-                if add is not None:
-                    # No capacity for the new rule: fail closed — install
-                    # it blackholed instead of letting its traffic pass.
-                    self._shed.add(add[0])
-                    self.counters.rules_shed += 1
-                    self.counters.shed_bandwidth_bps += add[1]
-                    self.controller.load_balancer.blackhole({add[0]})
-                    self._journal_rule_update(action, rule_id, [], shed=True)
-                    return []
-                raise
-        self._rule_order = [rid for rid, _ in active]
-        self._bandwidths = [bw for _, bw in active]
+    def _solved(
+        self, new: List[Tuple[int, float]], live: List[int]
+    ) -> Allocation:
+        """A full greedy re-solve of current plus ``new`` rules over ``live``."""
+        if not live:
+            raise InfeasibleError("no live enclave to solve onto")
+        allocation = greedy_solve(
+            self._problem(self._bandwidths + [bw for _, bw in new], len(live))
+        )
+        return self._onto_slots(allocation, live)
 
-        if allocation is None:
-            self._allocation = None
-            self._install_assignments([])
-            self._journal_rule_update(action, rule_id, [], shed=False)
-            return []
-
-        # Map solver enclave indices back onto the physical live slots.
+    def _onto_slots(self, allocation: Allocation, live: List[int]) -> Allocation:
+        """Map solver enclave indices (0..n_live) back onto physical slots."""
         slot_assignments: List[Dict[int, float]] = [
             {} for _ in range(len(self.controller.enclaves))
         ]
         for solver_j, share_map in enumerate(allocation.assignments):
-            if solver_j < len(live_slots):
-                slot_assignments[live_slots[solver_j]] = dict(share_map)
+            if solver_j < len(live):
+                slot_assignments[live[solver_j]] = dict(share_map)
             elif share_map:
-                slot_assignments[live_slots[-1]].update(share_map)
-        self._allocation = Allocation(
-            problem=allocation.problem, assignments=slot_assignments
-        )
-        self._install_assignments(slot_assignments)
+                # Solver headroom asked for more enclaves than survive;
+                # fold the overflow onto the last live slot (validation
+                # against G may fail, in which case repair would have been
+                # tried first — this is the best-effort tail).
+                slot_assignments[live[-1]].update(share_map)
+        return Allocation(problem=allocation.problem, assignments=slot_assignments)
 
+    def _commit(
+        self,
+        action: str,
+        rule_ids: List[int],
+        allocation: Optional[Allocation],
+        before: List[Set[int]],
+        shed: Set[int],
+    ) -> List[int]:
+        """Install a hot update's allocation on the slots it changed."""
+        self._allocation = allocation
         after = self._wanted_by_slot()
+        enclaves = self.controller.enclaves
         changed = [
             j
-            for j in range(len(self.controller.enclaves))
-            if before[j] != after[j]
-            and not self.controller.enclaves[j].destroyed
+            for j in range(len(enclaves))
+            if before[j] != after[j] and not enclaves[j].destroyed
         ]
+        self._install_assignments(
+            allocation.assignments if allocation is not None else [], changed
+        )
         if changed and self.session is not None:
             # A rule change alters the enclave's trusted state; re-attest
             # the touched enclaves through the failover retry/backoff path.
             for j in changed:
                 self.session.invalidate_attestation(j)
             self._attest_with_retry()
-        self._journal_rule_update(action, rule_id, changed, shed=False)
+        for rule_id in rule_ids:
+            self._journal_rule_update(
+                action, rule_id, changed, shed=rule_id in shed
+            )
         return changed
 
     def _journal_rule_update(
@@ -964,13 +1049,10 @@ class FleetManager:
                 shed = active  # nothing can be served; shed the rest
                 remaining = []
                 break
-            problem = RuleDistributionProblem(
-                bandwidths=[bw for _, bw in remaining],
-                enclaves_override=len(live_slots),
-                **self._problem_params,  # type: ignore[arg-type]
-            )
             try:
-                allocation = greedy_solve(problem)
+                allocation = greedy_solve(
+                    self._problem([bw for _, bw in remaining], len(live_slots))
+                )
                 break
             except InfeasibleError:
                 shed.append(queue.pop(0))
@@ -1001,31 +1083,24 @@ class FleetManager:
         self.counters.rules_rehomed += rehomed
         report.rules_rehomed = rehomed
 
-        # Map solver enclave indices (0..n_live) back onto physical slots.
-        slot_assignments: List[Dict[int, float]] = [
-            {} for _ in range(len(self.controller.enclaves))
-        ]
-        for solver_j, share_map in enumerate(allocation.assignments):
-            if solver_j < len(live_slots):
-                slot_assignments[live_slots[solver_j]] = dict(share_map)
-            elif share_map:
-                # Solver headroom asked for more enclaves than survive;
-                # fold the overflow onto the last live slot (validation
-                # against G may fail, in which case repair would have been
-                # tried first — this is the best-effort tail).
-                slot_assignments[live_slots[-1]].update(share_map)
-        self._allocation = Allocation(
-            problem=allocation.problem, assignments=slot_assignments
-        )
-        self._install_assignments(slot_assignments)
+        self._allocation = self._onto_slots(allocation, live_slots)
+        self._install_assignments(self._allocation.assignments)
 
     def _install_assignments(
-        self, assignments: Sequence[Dict[int, float]]
+        self,
+        assignments: Sequence[Dict[int, float]],
+        slots: Optional[Sequence[int]] = None,
     ) -> None:
-        """Diff-install per-slot rule sets and rebuild LB routes."""
+        """Diff-install per-slot rule sets (on ``slots`` only, when given)
+        and rebuild LB routes."""
         routes: Dict[int, List[Tuple[int, float]]] = {}
-        live = sum(1 for e in self.controller.enclaves if not e.destroyed)
-        for j, enclave in enumerate(self.controller.enclaves):
+        for j, share_map in enumerate(assignments):
+            for i, share in share_map.items():
+                routes.setdefault(self._rule_order[i], []).append((j, share))
+        enclaves = self.controller.enclaves
+        live = sum(1 for e in enclaves if not e.destroyed)
+        for j in range(len(enclaves)) if slots is None else slots:
+            enclave = enclaves[j]
             if enclave.destroyed:
                 continue
             share_map = assignments[j] if j < len(assignments) else {}
@@ -1043,8 +1118,6 @@ class FleetManager:
                 )
             enclave.ecall("set_scale_out_mode", live > 1)
             enclave.ecall("set_assigned_rules", sorted(wanted_ids))
-            for i, share in share_map.items():
-                routes.setdefault(self._rule_order[i], []).append((j, share))
         self.controller.load_balancer.configure(self._rules, routes)
         if self._shed:
             self.controller.load_balancer.blackhole(self._shed)

@@ -7,7 +7,8 @@ solve perturbs every enclave's rule set — which means fleet-wide rule
 churn, re-installs and route updates mid-attack.  This module instead
 repairs the existing :class:`~repro.optim.problem.Allocation` by greedily
 re-packing *only* the orphaned bandwidth shares onto the surviving enclaves,
-preserving every survivor's current assignment.
+preserving every survivor's current assignment.  The same packing loop
+(:func:`pack_shares`) places a hot-installed rule into a serving fleet.
 
 The repair is best-effort by design (Argyraki & Cheriton's partial-filtering
 argument): when the survivors cannot absorb the orphans within the
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.optim.problem import Allocation
+from repro.optim.problem import Allocation, RuleDistributionProblem
 
 #: Bandwidth slack (absolute, bits/s) below which a remainder counts as
 #: placed; keeps the packing loop finite under float round-off.
@@ -66,48 +67,67 @@ def repair_allocation(
         for i, share in allocation.assignments[j].items():
             orphans[i] = orphans.get(i, 0.0) + share
 
+    pack_shares(new_assignments, problem, survivors, orphans)
+    return Allocation(problem=problem, assignments=new_assignments)
+
+
+def pack_shares(
+    assignments: List[Dict[int, float]],
+    problem: RuleDistributionProblem,
+    slots: Sequence[int],
+    shares: Dict[int, float],
+) -> None:
+    """Place each rule's bandwidth share onto ``slots`` of ``assignments``.
+
+    ``shares`` maps rule index to the bandwidth still to be placed; the
+    maps in ``assignments`` are extended in place and nothing already there
+    moves.  Largest shares go first: they are the hardest to place and the
+    most likely to need splitting, so they get first pick of the spare
+    bandwidth.  Each share goes to a slot that already holds the rule (no
+    extra memory cost), else to the slot with the most spare bandwidth,
+    splitting across slots when one cannot take it all; ``G`` and the
+    per-enclave rule cap are respected throughout.  A zero-bandwidth rule
+    needs a rule slot only.
+
+    Raises :class:`InfeasibleError` when a share does not fit; the maps may
+    then be partly extended, so callers pack into a copy.
+    """
     h_cap = problem.rule_capacity_per_enclave
     spare_bw = {
-        j: problem.enclave_bandwidth - sum(new_assignments[j].values())
-        for j in survivors
+        j: problem.enclave_bandwidth - sum(assignments[j].values())
+        for j in slots
     }
 
     def can_host(j: int, i: int) -> bool:
-        return i in new_assignments[j] or len(new_assignments[j]) < h_cap
+        return i in assignments[j] or len(assignments[j]) < h_cap
 
-    # Largest orphans first: they are the hardest to place and most likely
-    # to need splitting, so give them first pick of the spare bandwidth.
-    for i, share in sorted(orphans.items(), key=lambda kv: (-kv[1], kv[0])):
+    for i, share in sorted(shares.items(), key=lambda kv: (-kv[1], kv[0])):
         remaining = share
         if remaining <= _EPSILON:
-            # Zero-bandwidth rule: needs a memory slot only.
-            home = next((j for j in survivors if can_host(j, i)), None)
+            home = next((j for j in slots if can_host(j, i)), None)
             if home is None:
                 raise InfeasibleError(
-                    f"no survivor has a free rule slot for orphan rule {i}"
+                    f"no enclave has a free rule slot for rule {i}"
                 )
-            new_assignments[home][i] = new_assignments[home].get(i, 0.0) + share
+            assignments[home][i] = assignments[home].get(i, 0.0) + share
             continue
         while remaining > _EPSILON:
             candidates = [
-                j for j in survivors if can_host(j, i) and spare_bw[j] > _EPSILON
+                j for j in slots if can_host(j, i) and spare_bw[j] > _EPSILON
             ]
             if not candidates:
                 raise InfeasibleError(
-                    f"survivors cannot absorb orphan rule {i}: "
+                    f"enclaves cannot absorb rule {i}: "
                     f"{remaining:.3e} bps unplaced"
                 )
-            # Prefer an existing replica (no memory cost), then most spare.
             j = max(
                 candidates,
-                key=lambda c: (i in new_assignments[c], spare_bw[c], -c),
+                key=lambda c: (i in assignments[c], spare_bw[c], -c),
             )
             take = min(spare_bw[j], remaining)
-            new_assignments[j][i] = new_assignments[j].get(i, 0.0) + take
+            assignments[j][i] = assignments[j].get(i, 0.0) + take
             spare_bw[j] -= take
             remaining -= take
-
-    return Allocation(problem=problem, assignments=new_assignments)
 
 
 def shed_order(

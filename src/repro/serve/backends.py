@@ -7,9 +7,10 @@ behind it.  Three adapters cover the stack the repo already has:
 * :class:`LocalBackend` — one in-process :class:`StatelessFilter` (unit
   tests, single-core deployments).
 * :class:`FleetBackend` — a :class:`~repro.core.fleet.FleetManager` behind
-  :class:`~repro.core.fleet.FleetBurstFilter`; hot deltas re-solve the rule
-  distribution, diff-install, and re-attest the touched enclaves through
-  the fleet's bounded retry/backoff machinery.
+  :class:`~repro.core.fleet.FleetBurstFilter`; a hot delta is packed into
+  the existing rule distribution, and only the enclaves it touched are
+  diff-installed and re-attested through the fleet's bounded retry/backoff
+  machinery.
 * :class:`ShardBackend` — the multiprocessing
   :class:`~repro.dataplane.shard.ShardedDataPlane` with dead-worker
   restart enabled; the watchdog polls :meth:`ShardBackend.heal`.
@@ -195,12 +196,13 @@ class LocalBackend(_OffloadMixin):
 class FleetBackend(_OffloadMixin):
     """A deployed fleet behind the backend protocol.
 
-    Hot deltas go through :meth:`FleetManager.install_rule` /
-    :meth:`FleetManager.remove_rule`: re-solve over the live slots,
-    diff-install, rebuild load-balancer routes, and re-attest every
-    enclave whose rule set changed (bounded retry + backoff).  ``heal()``
-    runs one probe/recover round so the watchdog also covers enclave
-    deaths, not just service-stage hangs.
+    Each hot delta is one :meth:`FleetManager.install_rules` /
+    :meth:`FleetManager.remove_rules` call: the rules are packed into (or
+    dropped from) the existing allocation over the live slots, only the
+    slots whose rule sets changed are diff-installed and re-attested
+    (bounded retry + backoff), and the load-balancer routes are rebuilt
+    once.  ``heal()`` runs one probe/recover round so the watchdog also
+    covers enclave deaths, not just service-stage hangs.
     """
 
     def __init__(
@@ -222,14 +224,12 @@ class FleetBackend(_OffloadMixin):
         return self._burst.process_burst(packets)
 
     def apply_delta(self, delta: RuleDelta) -> None:
+        # One change per delta, batch or not: one packing pass, one route
+        # rebuild, one re-attestation per changed slot.
         if delta.action == "install":
-            # The fleet re-solves the distribution per install; a batch
-            # delta simply drives that machinery once per rule.
-            for rule in delta.target_rules:
-                self.fleet.install_rule(rule)
+            self.fleet.install_rules(delta.target_rules)
         else:
-            for rule_id in delta.target_rule_ids:
-                self.fleet.remove_rule(rule_id)
+            self.fleet.remove_rules(delta.target_rule_ids)
         self._offload_delta(delta)
         self.ruleset_version += 1
 

@@ -135,14 +135,18 @@ class SecureChannel:
 
     @staticmethod
     def _xor_keystream(key: bytes, seq: int, data: bytes) -> bytes:
-        out = bytearray(len(data))
-        block = b""
-        for i in range(len(data)):
-            if i % 32 == 0:
-                counter = seq.to_bytes(8, "big") + (i // 32).to_bytes(8, "big")
-                block = hashlib.sha256(key + counter).digest()
-            out[i] = data[i] ^ block[i % 32]
-        return bytes(out)
+        """XOR ``data`` with block ``i`` = SHA-256(key ‖ seq ‖ i), 32 bytes
+        each; the whole record is XORed as one big integer."""
+        length = len(data)
+        prefix = hashlib.sha256(key + seq.to_bytes(8, "big"))
+        blocks = []
+        for i in range((length + 31) // 32):
+            block = prefix.copy()
+            block.update(i.to_bytes(8, "big"))
+            blocks.append(block.digest())
+        stream = b"".join(blocks)[:length]
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(length, "big")
 
 
 def establish_pair(

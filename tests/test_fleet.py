@@ -28,7 +28,7 @@ from repro.obs.flight import FlightRecorder
 from repro.optim import validate_allocation
 from repro.tee.attestation import IASService
 from repro.util.units import GBPS
-from tests.conftest import VICTIM, make_packet
+from tests.conftest import VICTIM, linear_match, make_packet
 
 
 def build_rules(count: int = 8, rate_bps: float = 2.0 * GBPS) -> RuleSet:
@@ -440,3 +440,184 @@ class TestSlotGrouping:
         assert fleet.health[doomed] is EnclaveHealth.DEAD
         assert fleet.counters.failclosed_drops == slots.count(doomed)
         assert fleet.counters.unfiltered_packets == 0
+
+
+class TestHotRuleUpdates:
+    """Hot installs/removes pack into the existing allocation in place."""
+
+    @staticmethod
+    def hot_rule(rule_id: int, third: int, rate_bps: float, fourth=None):
+        prefix = (
+            f"203.1.{third}.0/24" if fourth is None else f"203.1.{third}.{fourth}/32"
+        )
+        return FilterRule(
+            rule_id=rule_id,
+            pattern=FlowPattern(dst_prefix=prefix),
+            action=Action.DROP if rule_id % 2 else Action.ALLOW,
+            requested_by=VICTIM,
+            rate_bps=rate_bps,
+        )
+
+    @staticmethod
+    def attach_session(fleet: FleetManager) -> VIFSession:
+        rpki = RPKIRegistry()
+        rpki.authorize(VICTIM, "203.0.0.0/15")
+        session = VIFSession(VICTIM, rpki, fleet.controller.ias, fleet.controller)
+        session.attest_filters()
+        fleet.session = session
+        return session
+
+    @staticmethod
+    def installed(fleet: FleetManager):
+        return [
+            {r.rule_id for r in enclave.ecall("installed_rules")}
+            for enclave in fleet.controller.enclaves
+        ]
+
+    @staticmethod
+    def assert_coherent(fleet: FleetManager) -> None:
+        if fleet.allocation is not None:
+            assert validate_allocation(fleet.allocation) == []
+        state = fleet.controller.state
+        lb = fleet.controller.load_balancer
+        assert state.rule_order == fleet.active_rule_ids
+        assert sorted(state.rule_order) == sorted(
+            r.rule_id for r in lb.rules if r.rule_id not in fleet.shed_rule_ids
+        )
+
+    @staticmethod
+    def assert_oracle_verdicts(fleet: FleetManager, packets) -> None:
+        rules = list(fleet.controller.load_balancer.rules)
+        verdicts = FleetBurstFilter(fleet).process_burst(packets)
+        for packet, got in zip(packets, verdicts):
+            rule = linear_match(rules, packet.five_tuple)
+            if rule is None:
+                want = UNROUTED
+            elif rule.rule_id in fleet.shed_rule_ids:
+                want = False
+            else:
+                want = rule.action is Action.ALLOW
+            assert got == want, (packet.five_tuple, rule)
+
+    @staticmethod
+    def probe_trace():
+        """Every hot /24 at two hosts (one a possible /32), the deployed
+        rules, and off-rule traffic."""
+        dsts = [f"203.1.{third}.{host}" for third in range(64) for host in (1, 5)]
+        dsts += [f"203.0.{100 + i % 8}.{i}" for i in range(32)]
+        dsts += [f"198.51.100.{i}" for i in range(32)]
+        return [
+            make_packet(src_ip=f"10.9.{i % 5}.{i % 250}", dst_ip=dst)
+            for i, dst in enumerate(dsts)
+        ]
+
+    def test_one_install_touches_and_reattests_one_slot(self):
+        fleet = build_fleet(build_rules(count=40, rate_bps=0.5 * GBPS), enclaves=4)
+        session = self.attach_session(fleet)
+        before = self.installed(fleet)
+        reports = dict(session.attestation_reports)
+        changed = fleet.install_rule(self.hot_rule(500, 1, 0.1 * GBPS))
+        after = self.installed(fleet)
+        touched = [j for j in range(4) if before[j] != after[j]]
+        assert changed == touched and len(touched) == 1
+        assert after[touched[0]] - before[touched[0]] == {500}
+        fresh = [
+            j for j in range(4)
+            if session.attestation_reports[j] is not reports[j]
+        ]
+        assert fresh == touched
+        self.assert_coherent(fleet)
+
+    def test_batch_delta_is_one_change(self):
+        fleet = build_fleet(build_rules(count=40, rate_bps=0.5 * GBPS), enclaves=4)
+        session = self.attach_session(fleet)
+        attested = []
+        real_attest = session.attest_filters
+
+        def counting_attest():
+            attested.append(real_attest())
+            return attested[-1]
+
+        session.attest_filters = counting_attest
+        batch = [self.hot_rule(600 + k, k, 0.4 * GBPS) for k in range(12)]
+        changed = fleet.install_rules(batch)
+        assert attested == [len(changed)]
+        assert set(fleet.active_rule_ids[-12:]) == {r.rule_id for r in batch}
+        self.assert_coherent(fleet)
+        self.assert_oracle_verdicts(fleet, self.probe_trace())
+        attested.clear()
+        changed = fleet.remove_rules([r.rule_id for r in batch])
+        assert attested == [len(changed)]
+        assert fleet.active_rule_ids == list(range(1, 41))
+        self.assert_coherent(fleet)
+
+    def test_seeded_walk_stays_valid_and_matches_the_oracle(self):
+        rng = random.Random(2019)
+        fleet = build_fleet(build_rules(count=8, rate_bps=1.5 * GBPS), enclaves=4)
+        probes = self.probe_trace()
+        next_id = 100
+        for _ in range(200):
+            current = fleet.controller.load_balancer.rules.rules()
+            removable = [r.rule_id for r in current if r.rule_id >= 100]
+            if removable and rng.random() < 0.45:
+                fleet.remove_rule(rng.choice(removable))
+            else:
+                fourth = rng.choice((1, 9)) if rng.random() < 0.3 else None
+                third = rng.randrange(64)
+                rule = self.hot_rule(
+                    next_id, third, rng.uniform(0.0, 6.0) * GBPS, fourth
+                )
+                if not any(r.pattern == rule.pattern for r in current):
+                    fleet.install_rule(rule)
+                next_id += 1
+            self.assert_coherent(fleet)
+            self.assert_oracle_verdicts(fleet, probes)
+        assert fleet.counters.unfiltered_packets == 0
+
+    def test_unplaceable_rule_is_shed_fail_closed(self):
+        rules = build_rules(count=4, rate_bps=5.0 * GBPS)  # 20G over 2x10G
+        fleet = build_fleet(rules, enclaves=2)
+        before = self.installed(fleet)
+        changed = fleet.install_rule(self.hot_rule(700, 3, 1.0 * GBPS))
+        assert changed == []
+        assert self.installed(fleet) == before
+        assert fleet.shed_rule_ids == {700}
+        assert 700 in fleet.controller.load_balancer.blackholed_rule_ids
+        assert fleet.counters.rules_shed == 1
+        result = fleet.carry([make_packet(dst_ip="203.1.3.9")])
+        assert result.dropped_shed == 1 and not result.delivered
+        self.assert_coherent(fleet)
+        assert fleet.remove_rule(700) == []
+        assert fleet.shed_rule_ids == set()
+
+    def test_failover_repair_after_hot_updates(self):
+        fleet = build_fleet(
+            build_rules(count=8, rate_bps=1.0 * GBPS),
+            enclaves=4,
+            config=FleetConfig(spare_platforms=0),
+        )
+        rng = random.Random(7)
+        for k in range(20):
+            if k % 3 == 2:
+                fleet.remove_rule(rng.choice(fleet.active_rule_ids))
+            else:
+                fleet.install_rule(self.hot_rule(800 + k, k, 0.5 * GBPS))
+        fleet.inject_crash(2, platform_lost=True)
+        report = fleet.recover()
+        assert report.orphaned_slots == [2] and report.repaired
+        assert fleet.allocation.assignments[2] == {}
+        self.assert_coherent(fleet)
+        self.assert_oracle_verdicts(fleet, self.probe_trace())
+        assert fleet.counters.unfiltered_packets == 0
+
+    def test_removing_a_split_rule_touches_every_replica(self):
+        fleet = build_fleet(build_rules(count=8, rate_bps=3.0 * GBPS), enclaves=4)
+        fleet.install_rule(self.hot_rule(900, 9, 9.0 * GBPS))
+        index = fleet.active_rule_ids.index(900)
+        replicas = fleet.allocation.rule_replicas(index)
+        assert len(replicas) > 1
+        before = self.installed(fleet)
+        assert fleet.remove_rule(900) == replicas
+        after = self.installed(fleet)
+        assert [j for j in range(4) if before[j] != after[j]] == replicas
+        self.assert_coherent(fleet)
